@@ -10,7 +10,8 @@ from .errors import (BudgetExceededError, DegenerateSystemError, ParseError,
                      StructuralError, UnsupportedRepresentationError,
                      VardimError, WindowError)
 from .signals import (Signal, first_nonzero_sign, forward_difference,
-                      is_log_concave, is_log_convex, is_unimodal, variation)
+                      is_log_concave, is_log_convex, is_unimodal,
+                      row_variations, variation)
 from .lti import (PartialFractionSystem, RationalTransferFunction,
                   StateSpace, StructuredMatrixView, extended_controllability,
                   extended_observability, hankel_matrix, impulse_response,

@@ -5,7 +5,7 @@ imbalance condition)."""
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -17,7 +17,9 @@ from .lti import (PartialFractionSystem, RationalTransferFunction,
                   impulse_response)
 from .positivity import (CERTIFIED, PositivityReport, check_toeplitz_total)
 from .signals import (Signal, first_nonzero_sign, forward_difference,
-                      variation)
+                      row_variations, variation)
+from .totpos import (OVD_BLOCK, candidate_rows, lattice_codes, output_signs,
+                     sample_blocks)
 
 DEFAULT_SEED = 0x5EED
 ENUM_CAP = 3 ** 9
@@ -146,6 +148,53 @@ def _impulse_for(sys, kind: str, L: int, N: int) -> Signal:
     return impulse_response(sys, need)
 
 
+@functools.lru_cache(maxsize=8)
+def _lattice(alpha: tuple, length: int, zero_tol: float) -> tuple:
+    """The input lattice ``alpha**length`` in ``itertools.product`` order:
+    read-only digit codes, variations, leading signs and nonzero masks,
+    shared by every check on the same lattice."""
+    size = len(alpha) ** length
+    codes = lattice_codes(len(alpha), length, 0, size)
+    values = np.array(alpha)
+    su = np.empty(size, dtype=np.int8)
+    fu = np.empty(size, dtype=np.int8)
+    nonzero = np.empty(size, dtype=bool)
+    for start in range(0, size, OVD_BLOCK):
+        block = slice(start, start + OVD_BLOCK)
+        U = values[codes[block]]
+        su[block], fu[block] = row_variations(U, zero_tol)
+        nonzero[block] = (np.abs(U) > zero_tol).any(axis=1)
+    for arr in (codes, su, fu, nonzero):
+        arr.setflags(write=False)
+    return codes, su, fu, nonzero
+
+
+def _candidate_blocks(extras: list, alpha: list, length: int, k: int,
+                      samples: int, seed: int, zero_tol: float):
+    """Blocks of candidate inputs in order: injected vectors, the lattice,
+    then seeded uniform samples.  Each block holds only the inputs with at
+    most k-1 sign changes and a nonzero sample, as (rows, variations,
+    leading signs, input of row j)."""
+    for start in range(0, len(extras), OVD_BLOCK):
+        chunk = extras[start:start + OVD_BLOCK]
+        U = np.zeros((len(chunk), length))
+        for i, u in enumerate(chunk):
+            U[i, :len(u)] = u
+        rows, su, fu = candidate_rows(U, k - 1, zero_tol)
+        yield U[rows], su, fu, lambda j, c=chunk, r=rows: c[r[j]]
+    codes, lsu, lfu, lnonzero = _lattice(tuple(alpha), length, zero_tol)
+    values = np.array(alpha)
+    for start in range(0, len(codes), OVD_BLOCK):
+        block = slice(start, start + OVD_BLOCK)
+        rows = start + np.flatnonzero((lsu[block] <= k - 1)
+                                      & lnonzero[block])
+        U = values[codes[rows]]
+        yield U, lsu[rows], lfu[rows], lambda j, U=U: tuple(U[j].tolist())
+    for U in sample_blocks(samples, seed, length):
+        rows, su, fu = candidate_rows(U, k - 1, zero_tol)
+        yield U[rows], su, fu, lambda j, U=U[rows]: tuple(U[j])
+
+
 def ovd_verify(sys, kind: str, k: int, input_length: int, output_length: int,
                alphabet: Sequence[float] = (-1, 0, 1), samples: int = 0,
                seed: int = DEFAULT_SEED, extra_inputs: Sequence = (),
@@ -157,8 +206,10 @@ def ovd_verify(sys, kind: str, k: int, input_length: int, output_length: int,
     When the variation is attained (and nonzero) the leading nonzero signs
     must agree; order violations are recorded separately so the two
     readings of the property can be distinguished.  Candidates run in
-    deterministic order: injected vectors, the lattice, then seeded
-    uniform samples.
+    deterministic order: injected vectors (at most ``input_length``
+    samples each), the lattice, then seeded uniform samples.  They are
+    checked ``OVD_BLOCK`` at a time, one matrix product per block; the
+    lattice is built once per alphabet, length and tolerance.
     """
     if kind not in ("hankel", "toeplitz"):
         raise ValueError(f"unknown operator kind {kind!r}")
@@ -166,44 +217,50 @@ def ovd_verify(sys, kind: str, k: int, input_length: int, output_length: int,
     if len(alpha) ** input_length > ENUM_CAP:
         raise BudgetExceededError(
             f"{len(alpha)}^{input_length} lattice inputs exceed the budget")
+    extras = [tuple(float(v) for v in u) for u in extra_inputs]
+    for u in extras:
+        if len(u) > input_length:
+            raise ValueError(f"extra input {u} is longer than the input "
+                             f"length {input_length}")
     g = _impulse_for(sys, kind, input_length, output_length)
     build = hankel_truncation if kind == "hankel" else toeplitz_truncation
     trunc = build(g, input_length, output_length)
     rank = int(np.linalg.matrix_rank(trunc.matrix))
-    scale = max(1.0, float(np.max(np.abs(trunc.matrix))))
+    scale = float(np.abs(trunc.matrix).max(initial=1.0))
     eff_tol = zero_tol * scale
-
-    def candidates():
-        for u in extra_inputs:
-            yield tuple(float(v) for v in u)
-        for u in itertools.product(alpha, repeat=input_length):
-            yield u
-        if samples:
-            rng = np.random.default_rng(seed)
-            for _ in range(samples):
-                yield tuple(rng.uniform(-1.0, 1.0, size=input_length))
 
     violations = []
     checked = 0
-    for u in candidates():
-        su = variation(u, zero_tol)
-        if su > k - 1:
+    for U, su, fu, input_of in _candidate_blocks(
+            extras, alpha, input_length, k, samples, seed, zero_tol):
+        if not len(U):
             continue
-        uv = np.zeros(input_length)
-        uv[:len(u)] = u[:input_length]
-        if not np.any(np.abs(uv) > zero_tol):
-            continue
-        checked += 1
-        y = trunc.matrix @ uv
-        sy = variation(y, eff_tol)
-        if sy > su:
-            violations.append(OvdViolation("variation", u, tuple(y), su, sy))
-        elif sy == su != 0:
-            fy = first_nonzero_sign(y, eff_tol)
-            if fy != 0 and fy != first_nonzero_sign(u, zero_tol):
-                violations.append(OvdViolation("order", u, tuple(y), su, sy))
-        if stop_at is not None and len(violations) >= stop_at:
+        sy, fy = output_signs(trunc.matrix, U, eff_tol)
+        grew = sy > su
+        hits = np.flatnonzero(
+            grew | ((sy == su) & (su != 0) & (fy != 0) & (fy != fu)))
+        # The scan stops right after the candidate that brings the
+        # violation count to stop_at.
+        last = None
+        if stop_at is not None:
+            need = stop_at - len(violations)
+            if need <= 0:
+                last = 0
+            elif need <= hits.size:
+                last = hits[need - 1]
+            if last is not None:
+                hits = hits[hits <= last]
+        for j in hits:
+            u = input_of(j)
+            uv = np.zeros(input_length)
+            uv[:len(u)] = u
+            violations.append(OvdViolation(
+                "variation" if grew[j] else "order", u,
+                tuple(trunc.matrix @ uv), int(su[j]), int(sy[j])))
+        if last is not None:
+            checked += int(last) + 1
             break
+        checked += len(U)
     return OvdReport(not violations, tuple(violations), checked, rank)
 
 

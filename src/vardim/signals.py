@@ -132,6 +132,23 @@ def first_nonzero_sign(u, zero_tol: float = ZERO_TOL) -> int:
     return 0
 
 
+def row_variations(rows, zero_tol: float = ZERO_TOL) -> tuple:
+    """``variation`` and ``first_nonzero_sign`` of every row of a 2-D
+    array, as two integer arrays."""
+    a = np.asarray(rows, dtype=float)
+    pos = a > zero_tol
+    signs = pos.view(np.int8) - ((a < -zero_tol) & ~pos).view(np.int8)
+    changes = np.zeros(len(a), dtype=int)
+    first = np.zeros(len(a), dtype=np.int8)
+    # The latest nonzero sign of each row so far, as ``variation`` keeps it.
+    last = np.zeros(len(a), dtype=np.int8)
+    for s in signs.T.copy():
+        changes += s * last < 0
+        np.copyto(first, s, where=first == 0)
+        np.copyto(last, s, where=s != 0)
+    return changes, first
+
+
 def _coerce(u) -> Signal:
     return u if isinstance(u, Signal) else Signal(0, tuple(u))
 

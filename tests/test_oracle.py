@@ -1,18 +1,97 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from vardim.errors import BudgetExceededError
-from vardim.lti import PartialFractionSystem, impulse_response
-from vardim.oracle import (DEMO_FUTURE_GROWTH, DEMO_PAST_DIMINISH,
-                           DEMO_PAST_ORDER_FLIP, apply_hankel,
-                           apply_nonlinearity, apply_toeplitz, demo_system,
-                           hankel_truncation, heavy_ball, neuronal_condition,
-                           ovd_verify, run_scenario, toeplitz_truncation)
+from vardim.lti import (PartialFractionSystem, RationalTransferFunction,
+                        impulse_response)
+from vardim.oracle import (DEFAULT_SEED, DEMO_FUTURE_GROWTH,
+                           DEMO_PAST_DIMINISH, DEMO_PAST_ORDER_FLIP,
+                           ENUM_CAP, OvdReport, OvdViolation, _impulse_for,
+                           _lattice, apply_hankel, apply_nonlinearity,
+                           apply_toeplitz, demo_system, hankel_truncation,
+                           heavy_ball, neuronal_condition, ovd_verify,
+                           run_scenario, toeplitz_truncation)
 from vardim.positivity import CERTIFIED, REFUTED, check_hankel_k
 from vardim.signals import (Signal, first_nonzero_sign, forward_difference,
                             variation)
+from vardim.totpos import OVD_BLOCK
 
 DEMO = demo_system()
+
+
+def scalar_ovd_verify(sys, kind, k, input_length, output_length,
+                      alphabet=(-1, 0, 1), samples=0, seed=DEFAULT_SEED,
+                      extra_inputs=(), zero_tol=1e-12, stop_at=None):
+    """Reference: ``ovd_verify`` one candidate at a time, through the
+    scalar ``variation`` and ``first_nonzero_sign``."""
+    alpha = sorted(set(float(a) for a in alphabet))
+    if len(alpha) ** input_length > ENUM_CAP:
+        raise BudgetExceededError("lattice too large")
+    g = _impulse_for(sys, kind, input_length, output_length)
+    build = hankel_truncation if kind == "hankel" else toeplitz_truncation
+    trunc = build(g, input_length, output_length)
+    rank = int(np.linalg.matrix_rank(trunc.matrix))
+    scale = float(np.abs(trunc.matrix).max(initial=1.0))
+    eff_tol = zero_tol * scale
+
+    def candidates():
+        for u in extra_inputs:
+            yield tuple(float(v) for v in u)
+        for u in itertools.product(alpha, repeat=input_length):
+            yield u
+        if samples:
+            rng = np.random.default_rng(seed)
+            for _ in range(samples):
+                yield tuple(rng.uniform(-1.0, 1.0, size=input_length))
+
+    violations = []
+    checked = 0
+    for u in candidates():
+        su = variation(u, zero_tol)
+        if su > k - 1:
+            continue
+        uv = np.zeros(input_length)
+        uv[:len(u)] = u[:input_length]
+        if not np.any(np.abs(uv) > zero_tol):
+            continue
+        checked += 1
+        y = trunc.matrix @ uv
+        sy = variation(y, eff_tol)
+        if sy > su:
+            violations.append(OvdViolation("variation", u, tuple(y), su, sy))
+        elif sy == su != 0:
+            fy = first_nonzero_sign(y, eff_tol)
+            if fy != 0 and fy != first_nonzero_sign(u, zero_tol):
+                violations.append(OvdViolation("order", u, tuple(y), su, sy))
+        if stop_at is not None and len(violations) >= stop_at:
+            break
+    return OvdReport(not violations, tuple(violations), checked, rank)
+
+
+def assert_same_report(got, want):
+    """Equal reports, with inputs and outputs equal bit for bit."""
+    assert got == want
+    for a, b in zip(got.violations, want.violations):
+        for x, y in ((a.input, b.input), (a.output, b.output)):
+            assert np.array(x).tobytes() == np.array(y).tobytes()
+
+
+def lag_bank(n):
+    poles = np.linspace(0.9, 0.1, n)
+    return PartialFractionSystem(tuple(zip(np.linspace(1.0, 0.3, n), poles)))
+
+
+def lag_cascade(n):
+    poles = np.linspace(0.9, 0.1, n)
+    zeros = -np.linspace(0.2, 0.6, n // 2)
+    return RationalTransferFunction(tuple(np.atleast_1d(np.poly(zeros))),
+                                    tuple(np.poly(poles)))
+
+
+SYSTEMS = [DEMO] + [build(n) for build in (lag_bank, lag_cascade)
+                    for n in (2, 3, 4)]
 
 
 class TestApplyHankel:
@@ -117,6 +196,64 @@ class TestOvdVerify:
         b = ovd_verify(DEMO, "hankel", 2, 4, 8, samples=50, seed=0xABC)
         assert a.inputs_checked == b.inputs_checked
         assert a.passed == b.passed
+
+    def test_extra_longer_than_input_rejected(self):
+        # Scored on all four samples, only two of which would be applied.
+        with pytest.raises(ValueError):
+            ovd_verify(DEMO, "toeplitz", 2, 2, 6,
+                       extra_inputs=[(1, -1, 1, -1)])
+
+    def test_negative_samples_draw_nothing(self):
+        assert_same_report(ovd_verify(DEMO, "hankel", 2, 4, 8, samples=-3),
+                           ovd_verify(DEMO, "hankel", 2, 4, 8))
+
+    def test_cached_lattice_is_read_only(self):
+        ovd_verify(DEMO, "hankel", 2, 3, 5)
+        for arr in _lattice((-1.0, 0.0, 1.0), 3, 1e-12):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+
+class TestOvdVerifyMatchesScalar:
+    @pytest.mark.parametrize("system", range(len(SYSTEMS)))
+    def test_systems(self, system):
+        for kind in ("hankel", "toeplitz"):
+            for k in (2, 3):
+                args = (SYSTEMS[system], kind, k, 7, 9)
+                assert_same_report(ovd_verify(*args, samples=40, seed=k),
+                                   scalar_ovd_verify(*args, samples=40,
+                                                     seed=k))
+
+    def test_extras_and_samples_across_blocks(self):
+        extras = [DEMO_FUTURE_GROWTH, DEMO_PAST_ORDER_FLIP, (0.0, 0.0),
+                  (1, -1, 1, -1)]
+        for kind in ("hankel", "toeplitz"):
+            kw = dict(samples=2 * OVD_BLOCK + 37, seed=7,
+                      extra_inputs=extras)
+            assert_same_report(ovd_verify(DEMO, kind, 3, 4, 8, **kw),
+                               scalar_ovd_verify(DEMO, kind, 3, 4, 8, **kw))
+
+    def test_stop_at_mid_block(self):
+        full = scalar_ovd_verify(DEMO, "toeplitz", 3, 5, 8, samples=3000)
+        assert len(full.violations) > 40
+        for stop_at in (-1, 0, 1, 7, 40, len(full.violations),
+                        len(full.violations) + 1):
+            args = (DEMO, "toeplitz", 3, 5, 8)
+            kw = dict(samples=3000, stop_at=stop_at)
+            assert_same_report(ovd_verify(*args, **kw),
+                               scalar_ovd_verify(*args, **kw))
+
+    @pytest.mark.parametrize("length,alphabet", [
+        (0, (-1, 0, 1)), (1, (-1, 0, 1)), (1, (0,)), (5, (-1.5, 2)),
+        (4, (-1, -0.0, 0.5, 1e-13))])
+    def test_short_inputs_and_other_alphabets(self, length, alphabet):
+        for kind in ("hankel", "toeplitz"):
+            args = (DEMO, kind, 3, length, 6)
+            kw = dict(alphabet=alphabet, samples=20, extra_inputs=[(1,) *
+                                                                   length])
+            assert_same_report(ovd_verify(*args, **kw),
+                               scalar_ovd_verify(*args, **kw))
 
 
 class TestNonlinearities:

@@ -1,12 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from vardim.signals import (Signal, first_nonzero_sign, forward_difference,
                             is_log_concave, is_log_convex, is_unimodal,
-                            variation)
+                            row_variations, variation)
 
 
 class TestVariation:
@@ -38,6 +39,37 @@ class TestVariation:
     @given(st.lists(st.integers(-3, 3), max_size=8))
     def test_reversal_invariance(self, vals):
         assert variation(vals[::-1]) == variation(vals)
+
+
+TOLS = (0.0, 1e-12, 0.5)
+# Zeros of both signs, values exactly at and just beside +-tol, and
+# ordinary magnitudes.
+EDGE_SAMPLES = st.sampled_from(
+    [0.0, -0.0, 2.0, -3.0] + [v for t in TOLS for v in
+                             (t, -t, math.nextafter(t, 1.0),
+                              -math.nextafter(t, 1.0), math.nextafter(t, 0.0),
+                              -math.nextafter(t, 0.0))])
+
+
+class TestRowVariations:
+    @given(st.integers(0, 6).flatmap(lambda width: st.tuples(
+               st.just(width),
+               st.lists(st.lists(EDGE_SAMPLES | st.floats(-2.0, 2.0),
+                                 min_size=width, max_size=width),
+                        max_size=6))),
+           st.sampled_from(TOLS))
+    def test_matches_scalar_counts(self, shaped, tol):
+        width, rows = shaped
+        changes, first = row_variations(
+            np.array(rows, dtype=float).reshape(len(rows), width), tol)
+        assert changes.tolist() == [variation(r, tol) for r in rows]
+        assert first.tolist() == [first_nonzero_sign(r, tol) for r in rows]
+
+    def test_empty_rows_and_columns(self):
+        for shape in ((0, 4), (3, 0)):
+            changes, first = row_variations(np.zeros(shape))
+            assert changes.shape == first.shape == (shape[0],)
+            assert not changes.any() and not first.any()
 
 
 class TestForwardDifference:

@@ -1,13 +1,52 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from vardim.lti import PartialFractionSystem, impulse_response, hankel_matrix
-from vardim.totpos import (BruteForceVerdict, IndexTuple, compound_matrix,
-                           desnanot_jacobi_residual, enumerate_tuples,
-                           is_k_positive, is_pd, is_psd, matrix_rank, minor,
-                           ovd_matrix_bruteforce)
+from vardim.signals import first_nonzero_sign, row_variations, variation
+from vardim.totpos import (OVD_BLOCK, BruteForceVerdict, IndexTuple,
+                           compound_matrix, desnanot_jacobi_residual,
+                           enumerate_tuples, is_k_positive, is_pd, is_psd,
+                           lattice_codes, matrix_rank, minor,
+                           output_signs, ovd_matrix_bruteforce)
+
+
+def scalar_bruteforce(X, k, alphabet=(-1, 0, 1), require_order=True,
+                      samples=0, seed=0x5EED, zero_tol=1e-12):
+    """Reference: ``ovd_matrix_bruteforce`` one candidate at a time."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    m = X.shape[1]
+    alpha = sorted(set(float(a) for a in alphabet))
+    rank = matrix_rank(X)
+    eff_tol = zero_tol * max(1.0, float(np.max(np.abs(X))))
+
+    def candidates():
+        yield from itertools.product(alpha, repeat=m)
+        rng = np.random.default_rng(seed)
+        for _ in range(samples):
+            yield tuple(rng.uniform(-1.0, 1.0, size=m))
+
+    checked = 0
+    for u in candidates():
+        su = variation(u, zero_tol)
+        uv = np.asarray(u)
+        if su > k or not np.any(np.abs(uv) > zero_tol):
+            continue
+        checked += 1
+        y = X @ uv
+        sy = variation(y, eff_tol)
+        if sy > min(rank - 1, su):
+            return BruteForceVerdict(False, u, tuple(y),
+                                     f"variation grew: {su} -> {sy}",
+                                     checked, rank)
+        fy = first_nonzero_sign(y, eff_tol)
+        if (require_order and sy == su and fy != 0
+                and fy != first_nonzero_sign(u, zero_tol)):
+            return BruteForceVerdict(False, u, tuple(y),
+                                     "leading sign flipped", checked, rank)
+    return BruteForceVerdict(True, None, None, None, checked, rank)
 
 
 class TestIndexTuples:
@@ -223,3 +262,56 @@ class TestBruteForce:
         X = np.array([[1.0, 0.5], [0.5, 1.0]])
         v = ovd_matrix_bruteforce(X, 1, samples=200, seed=0x5EED)
         assert v.passed
+
+    def test_matches_scalar_scan(self):
+        rng = np.random.default_rng(21)
+        cases = [(np.array([[1.0, 0.5], [0.5, 1.0]]), OVD_BLOCK + 50)]
+        for trial in range(16):
+            X = rng.normal(size=(int(rng.integers(2, 6)),
+                                 int(rng.integers(1, 6))))
+            cases.append((np.abs(X) if trial % 2 else X, 100))
+        for X, samples in cases:
+            for k in (0, 1, 2):
+                for order in (True, False):
+                    kw = dict(require_order=order, samples=samples, seed=k)
+                    got = ovd_matrix_bruteforce(X, k, **kw)
+                    assert got == scalar_bruteforce(X, k, **kw)
+
+    def test_block_signs_follow_per_vector_product(self):
+        # Put the zero tolerance between a block-product output and the
+        # per-vector one where they round apart: the sign must be the
+        # per-vector one.
+        rng = np.random.default_rng(3)
+        U = rng.uniform(-1.0, 1.0, size=(OVD_BLOCK, 9))
+        X = rng.normal(size=(10, 9))
+        block = U @ X.T
+        single = np.array([X @ np.array(u) for u in U])
+        for r, t in np.argwhere(block != single):
+            tol = min(abs(block[r, t]), abs(single[r, t]))
+            want = row_variations(single, tol)
+            changes, first = row_variations(block[r:r + 1], tol)
+            if (changes[0], first[0]) != (want[0][r], want[1][r]):
+                break
+        else:
+            pytest.skip("block and per-vector products give the same "
+                        "signs here")
+        got = output_signs(X, U, tol)
+        assert (got[0] == want[0]).all() and (got[1] == want[1]).all()
+
+    def test_lattice_codes_follow_product_order(self):
+        want = list(itertools.product(range(3), repeat=4))
+        for start, stop in ((0, 81), (5, 40), (80, 81), (7, 7)):
+            assert [tuple(c) for c in lattice_codes(3, 4, start, stop)] \
+                == want[start:stop]
+
+    def test_lattice_scanned_block_by_block(self):
+        # The 2^16 lattice would take 8 MiB as floats; blocks keep the scan
+        # far below that.
+        tracemalloc.start()
+        try:
+            v = ovd_matrix_bruteforce(np.eye(16), 15, alphabet=(-1, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v.passed and v.inputs_checked == 2 ** 16
+        assert peak < 2 << 20
