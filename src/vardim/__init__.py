@@ -13,16 +13,16 @@ from .signals import (Signal, first_nonzero_sign, forward_difference,
                       is_log_concave, is_log_convex, is_unimodal,
                       row_variations, variation)
 from .lti import (PartialFractionSystem, RationalTransferFunction,
-                  StateSpace, StructuredMatrixView, extended_controllability,
-                  extended_observability, hankel_matrix, impulse_response,
-                  partial_fractions, polynomial_roots, recombine,
-                  rtf_to_state_space, to_state_space, toeplitz_matrix, zeros)
+                  StateSpace, StructuredMatrixView, canonical,
+                  extended_controllability, extended_observability,
+                  hankel_matrix, impulse_response, partial_fractions,
+                  polynomial_roots, recombine, rtf_to_state_space,
+                  to_state_space, toeplitz_matrix, zeros)
 from .totpos import (BruteForceVerdict, IndexTuple, KPositivityVerdict,
                      MinorReport, compound_matrix, desnanot_jacobi_residual,
                      enumerate_tuples, is_k_positive, is_pd, is_psd,
                      matrix_rank, minor, ovd_matrix_bruteforce)
-from .compound import (CompoundSystem, compound_impulse,
-                       compound_realization, compound_system,
+from .compound import (compound_impulse, compound_realization,
                        compound_transfer, reversal_sign, toeplitz_minor)
 from .positivity import (CERTIFIED, HOLDS, REFUTED, UNSUPPORTED,
                          CoefficientCheck, Decomposition, PositivityReport,

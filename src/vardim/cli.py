@@ -11,9 +11,10 @@ import sys as _sys
 from typing import Optional
 
 from .compound import compound_transfer
-from .errors import ParseError, StructuralError, VardimError
-from .lti import (DEFAULT_HORIZON, PartialFractionSystem, impulse_response,
-                  recombine)
+from .errors import (ParseError, StructuralError,
+                     UnsupportedRepresentationError, VardimError)
+from .lti import (DEFAULT_HORIZON, PartialFractionSystem, canonical,
+                  impulse_response, recombine)
 from .oracle import (SCENARIOS, heavy_ball, ovd_verify, run_scenario)
 from .positivity import (CERTIFIED, HOLDS, REFUTED, UNSUPPORTED,
                          check_external, check_hankel_k, check_hankel_total,
@@ -21,6 +22,7 @@ from .positivity import (CERTIFIED, HOLDS, REFUTED, UNSUPPORTED,
                          hankel_decompose, render_report, toeplitz_decompose)
 from .signals import forward_difference
 from .sysfile import load_system, serialize_system
+from .totpos import DEFAULT_SEED
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -80,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input-length", type=int, default=6)
     p.add_argument("--alphabet", type=_parse_alphabet, default=(-1, 0, 1))
     p.add_argument("--samples", type=int, default=0)
-    p.add_argument("--seed", type=_parse_seed, default=0x5EED,
+    p.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED,
                    metavar="HEX")
 
     p = sub.add_parser("heavyball", help="momentum smoothing classifier")
@@ -147,12 +149,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_compound(args) -> int:
-    sys = load_system(args.system)
-    pfs = sys if isinstance(sys, PartialFractionSystem) else None
-    if pfs is None:
-        from .positivity import _as_pfs
-        pfs = _as_pfs(sys)
-    if pfs is None:
+    pfs = canonical(load_system(args.system))
+    if not isinstance(pfs, PartialFractionSystem):
         raise StructuralError("compound reports need simple real poles")
     n = len(pfs.terms)
     horizon = args.horizon
@@ -180,13 +178,14 @@ def cmd_decompose(args) -> int:
     sys = load_system(args.system)
     if args.operator not in ("hankel", "toeplitz"):
         raise ParseError("decompose needs --operator hankel or toeplitz")
+    form = canonical(sys)
     if args.operator == "hankel":
-        if not isinstance(sys, PartialFractionSystem):
-            from .positivity import _require_pfs
-            sys = _require_pfs(sys)
-        dec = hankel_decompose(sys, args.k, args.horizon)
+        if not isinstance(form, PartialFractionSystem):
+            raise UnsupportedRepresentationError(
+                "decomposition needs simple real poles")
+        dec = hankel_decompose(form, args.k, args.horizon)
     else:
-        dec = toeplitz_decompose(sys, args.k, args.horizon)
+        dec = toeplitz_decompose(form, args.k, args.horizon)
     prefix = args.out or "decomposition."
     dom_path = prefix + "dominant.sys"
     rem_path = prefix + "remainder.sys"

@@ -1,16 +1,17 @@
 """Compound systems: consecutive-minor impulse responses, their state-space
-realizations, and the explicit partial-fraction form for simple real poles."""
+realizations, and the explicit partial-fraction form for simple real poles.
+
+The checks use the partial-fraction form whenever the source has one and
+build a realization only for other sources; the minor sequence is a
+reference for tests."""
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Optional, Union
 
 from .lti import (PartialFractionSystem, StateSpace, extended_controllability,
-                  extended_observability, hankel_matrix, to_state_space,
-                  toeplitz_matrix)
+                  extended_observability, hankel_matrix, toeplitz_matrix)
 from .signals import Signal
 from .totpos import compound_matrix
 
@@ -98,28 +99,3 @@ def compound_transfer(pfs: PartialFractionSystem,
             merged.append((pole, [res]))
     terms = tuple((math.fsum(parts), pole) for pole, parts in merged)
     return PartialFractionSystem(terms)
-
-
-@dataclass(frozen=True)
-class CompoundSystem:
-    """Order-j compound of a source system.
-
-    Both evaluation routes are kept: the compound state-space realization
-    (preferred for long horizons) and, for simple-real-pole sources, the
-    explicit partial-fraction form.
-    """
-
-    source: Union[PartialFractionSystem, StateSpace]
-    order_j: int
-    realization: StateSpace
-    pf_form: Optional[PartialFractionSystem]
-
-
-def compound_system(source, j: int) -> CompoundSystem:
-    if isinstance(source, PartialFractionSystem):
-        ss = to_state_space(source)
-        pf = compound_transfer(source, j) if source.fir.is_zero() else None
-        return CompoundSystem(source, j, compound_realization(ss, j), pf)
-    if isinstance(source, StateSpace):
-        return CompoundSystem(source, j, compound_realization(source, j), None)
-    raise TypeError(f"unsupported source type {type(source).__name__}")

@@ -372,6 +372,39 @@ def rtf_to_state_space(rtf: RationalTransferFunction) -> StateSpace:
     return StateSpace(A, b, num)
 
 
+def canonical(sys: SystemLike) -> Union[PartialFractionSystem, StateSpace]:
+    """Partial fractions when the poles are simple and real, otherwise a
+    state space (rational inputs through ``rtf_to_state_space``).
+
+    State-space inputs are diagonalized; modes whose residue is negligible
+    (uncontrollable or unobservable) are dropped.
+    """
+    if isinstance(sys, PartialFractionSystem):
+        return sys
+    if isinstance(sys, RationalTransferFunction):
+        try:
+            return partial_fractions(sys)
+        except UnsupportedRepresentationError:
+            return rtf_to_state_space(sys)
+    if not isinstance(sys, StateSpace):
+        raise TypeError(f"unsupported system type {type(sys).__name__}")
+    lam, V = np.linalg.eig(sys.A)
+    scale = max(1.0, float(np.max(np.abs(lam))))
+    if np.max(np.abs(lam.imag)) > REAL_SNAP_TOL * scale:
+        return sys
+    lam = lam.real
+    if np.any(np.diff(np.sort(lam)) <= 1e-9 * scale):
+        return sys
+    try:
+        W = np.linalg.inv(V.real)
+    except np.linalg.LinAlgError:
+        return sys
+    residues = (sys.c @ V.real) * (W @ sys.b)
+    drop = 1e-12 * max(1.0, float(np.max(np.abs(residues))))
+    return PartialFractionSystem(tuple(
+        (float(r), float(p)) for r, p in zip(residues, lam) if abs(r) > drop))
+
+
 def extended_controllability(ss: StateSpace, j: int) -> np.ndarray:
     """Columns b, Ab, ..., A^(j-1) b."""
     if j < 1:

@@ -18,10 +18,9 @@ from .lti import (PartialFractionSystem, RationalTransferFunction,
 from .positivity import (CERTIFIED, PositivityReport, check_toeplitz_total)
 from .signals import (Signal, first_nonzero_sign, forward_difference,
                       row_variations, variation)
-from .totpos import (OVD_BLOCK, candidate_rows, lattice_codes, output_signs,
-                     sample_blocks)
+from .totpos import (DEFAULT_SEED, OVD_BLOCK, candidate_rows, lattice_codes,
+                     output_signs, sample_blocks)
 
-DEFAULT_SEED = 0x5EED
 ENUM_CAP = 3 ** 9
 
 # The three-lag demo system: two excitatory channels and one weak

@@ -11,18 +11,17 @@ inputs outside the hypotheses of the finite reductions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .compound import compound_system, compound_transfer, reversal_sign
+from .compound import compound_realization, compound_transfer, reversal_sign
 from .errors import StructuralError, UnsupportedRepresentationError
 from .lti import (DEFAULT_HORIZON, PartialFractionSystem,
-                  RationalTransferFunction, StateSpace, REAL_SNAP_TOL,
-                  dominance_key, hankel_matrix, impulse_response,
-                  partial_fractions, recombine, rtf_to_state_space,
-                  toeplitz_matrix)
+                  RationalTransferFunction, StateSpace, canonical,
+                  dominance_key, hankel_matrix, impulse_response, recombine,
+                  to_state_space, toeplitz_matrix)
 from .signals import Signal, forward_difference
 from .totpos import is_pd, is_psd, minor_zero_threshold
 
@@ -110,40 +109,6 @@ def _first_nonzero_time(g: Signal, tol: float) -> Optional[int]:
     return None
 
 
-def _as_pfs(sys) -> Optional[PartialFractionSystem]:
-    """Best-effort conversion to simple-real-pole partial fractions."""
-    if isinstance(sys, PartialFractionSystem):
-        return sys
-    if isinstance(sys, RationalTransferFunction):
-        try:
-            return partial_fractions(sys)
-        except UnsupportedRepresentationError:
-            return None
-    if isinstance(sys, StateSpace):
-        return _state_space_to_pfs(sys)
-    raise TypeError(f"unsupported system type {type(sys).__name__}")
-
-
-def _state_space_to_pfs(ss: StateSpace) -> Optional[PartialFractionSystem]:
-    lam, V = np.linalg.eig(ss.A)
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    if np.max(np.abs(lam.imag)) > REAL_SNAP_TOL * scale:
-        return None
-    lam = lam.real
-    lam_sorted = np.sort(lam)
-    if np.any(np.diff(lam_sorted) <= 1e-9 * scale):
-        return None
-    try:
-        W = np.linalg.inv(V.real)
-    except np.linalg.LinAlgError:
-        return None
-    residues = (ss.c @ V.real) * (W @ ss.b)
-    drop = 1e-12 * max(1.0, float(np.max(np.abs(residues))))
-    terms = [(float(r), float(p)) for r, p in zip(residues, lam)
-             if abs(r) > drop]
-    return PartialFractionSystem(tuple(terms))
-
-
 def _sample_scale(pfs: PartialFractionSystem) -> float:
     parts = [abs(r) for r in pfs.residues]
     parts.extend(abs(v) for v in pfs.fir.values)
@@ -152,6 +117,13 @@ def _sample_scale(pfs: PartialFractionSystem) -> float:
 
 def _find_negative_sample(pfs: PartialFractionSystem, start: int,
                           tol: float) -> Optional[tuple]:
+    # Past the FIR support every sample is bounded by sum|r| rho^(t-1),
+    # which never grows once rho <= 1: when that bound is below tol/2 (a
+    # rounding margin) no later sample can fall below -tol.
+    rho = max((abs(p) for p in pfs.poles), default=0.0)
+    weight = math.fsum(abs(r) for r in pfs.residues)
+    fir = pfs.fir.trimmed()
+    fir_end = fir.support_end if len(fir) else 0
     horizon = max(start, 8)
     while horizon <= WITNESS_SEARCH_CAP:
         g = impulse_response(pfs, horizon)
@@ -159,6 +131,9 @@ def _find_negative_sample(pfs: PartialFractionSystem, start: int,
             v = g.value(t)
             if v < -tol:
                 return (t, v)
+        if (rho <= 1.0 and horizon > fir_end
+                and weight * rho ** (horizon - 1) <= tol / 2):
+            return None
         horizon *= 4
     return None
 
@@ -173,8 +148,8 @@ def check_external(sys, horizon: int = DEFAULT_HORIZON,
     at or above the dominant pole) refute with a concrete witness.  Systems
     convertible only to state-space or rational form are sampled.
     """
-    pfs = _as_pfs(sys)
-    if pfs is None:
+    pfs = canonical(sys)
+    if not isinstance(pfs, PartialFractionSystem):
         return _check_external_sampled(sys, horizon, tol)
     theta = tol * _sample_scale(pfs) if not pfs.is_zero() else tol
     need = max(horizon, pfs.fir.support_end + 1 if len(pfs.fir) else 1)
@@ -209,7 +184,12 @@ def check_external(sys, horizon: int = DEFAULT_HORIZON,
                                  "dominant residue nonpositive"),
                       "pole": p1, "residue": r1}
     else:
-        zero = _real_zero_at_or_above(pfs, p1)
+        try:
+            zero = _real_zero_at_or_above(pfs, p1)
+        except ValueError:
+            # Nearly cancelling factors leave the zero test undecided, and
+            # numerical doubt must neither certify nor refute.
+            return PositivityReport(EXTERNAL, 1, HOLDS, horizon, t0=t0)
         if zero is not None:
             suspicious = {"kind": "real-zero-dominates", "zero": zero,
                           "pole": p1}
@@ -273,14 +253,14 @@ def _check_external_sampled(sys, horizon: int, tol: float) -> PositivityReport:
         certificate=None)
 
 
-def _system_order(sys) -> int:
-    return sys.order
-
-
-def _retag(report: PositivityReport, name: str, k: int) -> PositivityReport:
-    return PositivityReport(name, k, report.verdict, report.horizon,
-                            report.certificate, report.witness, report.t0,
-                            report.details)
+def _compound(form, j: int):
+    """Order-j compound of a canonical form: the residue formula for a pure
+    pole/residue form, the C(n, j)-state realization otherwise."""
+    if isinstance(form, PartialFractionSystem):
+        if form.fir.is_zero():
+            return compound_transfer(form, j)
+        form = to_state_space(form)
+    return compound_realization(form, j)
 
 
 def check_hankel_k(sys, k: int, horizon: int = DEFAULT_HORIZON,
@@ -294,10 +274,9 @@ def check_hankel_k(sys, k: int, horizon: int = DEFAULT_HORIZON,
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = _system_order(sys)
-    if k > n:
-        total = check_hankel_total(sys, horizon)
-        return _retag(total, HANKEL_K, k)
+    if k > sys.order:
+        return replace(check_hankel_total(sys, horizon),
+                       property_name=HANKEL_K, k=k)
 
     need = max(horizon, 2 * k + 2)
     g = impulse_response(sys, need)
@@ -318,9 +297,7 @@ def check_hankel_k(sys, k: int, horizon: int = DEFAULT_HORIZON,
                 witness={"kind": "window-not-positive-semidefinite",
                          "offset": 2, "order": k - 1})
 
-    comp = compound_system(_preferred_form(sys), k)
-    target = comp.pf_form if comp.pf_form is not None else comp.realization
-    sub = check_external(target, horizon, tol)
+    sub = check_external(_compound(canonical(sys), k), horizon, tol)
     details.append(sub)
     witness = dict(sub.witness) if sub.witness else None
     if witness is not None:
@@ -334,16 +311,6 @@ def check_hankel_k(sys, k: int, horizon: int = DEFAULT_HORIZON,
                             t0=t0, details=tuple(details))
 
 
-def _preferred_form(sys):
-    """Partial fractions when available, otherwise a state space."""
-    pfs = _as_pfs(sys)
-    if pfs is not None:
-        return pfs
-    if isinstance(sys, StateSpace):
-        return sys
-    return rtf_to_state_space(sys)
-
-
 def check_toeplitz_k(sys, k: int, horizon: int = DEFAULT_HORIZON,
                      tol: float = SAMPLE_TOL) -> PositivityReport:
     """Order-k check for the causal convolution operator.
@@ -355,9 +322,8 @@ def check_toeplitz_k(sys, k: int, horizon: int = DEFAULT_HORIZON,
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    form = _preferred_form(sys)
+    form = canonical(sys)
     poles = _pole_magnitudes(form)
-    n = _system_order(form)
     if k >= 2:
         idx = k - 1
         if idx > len(poles) or abs(poles[idx - 1]) <= SAMPLE_TOL:
@@ -382,7 +348,7 @@ def check_toeplitz_k(sys, k: int, horizon: int = DEFAULT_HORIZON,
     witness = None
     verdicts = []
     for j in range(1, k + 1):
-        sub = _signed_compound_external(form, j, horizon, tol, n)
+        sub = _signed_compound_external(form, j, horizon, tol)
         details.append(sub)
         verdicts.append(sub.verdict)
         if sub.verdict == REFUTED and witness is None:
@@ -429,20 +395,17 @@ def _pole_magnitudes(form) -> tuple:
     return tuple(sorted((complex(v) for v in lam), key=dominance_key))
 
 
-def _signed_compound_external(form, j: int, horizon: int, tol: float,
-                              n: int) -> PositivityReport:
+def _signed_compound_external(form, j: int, horizon: int,
+                              tol: float) -> PositivityReport:
     sign = reversal_sign(j)
-    if j > n:
+    if j > form.order:
         return PositivityReport(
             EXTERNAL, 1, CERTIFIED, horizon, t0=None,
             certificate=f"compound order {j} above system order: zero")
-    if isinstance(form, PartialFractionSystem) and form.fir.is_zero():
-        comp = compound_transfer(form, j)
+    comp = _compound(form, j)
+    if isinstance(comp, PartialFractionSystem):
         return check_external(comp.scaled(float(sign)), horizon, tol)
-    comp = compound_system(form, j)
-    ss = comp.realization
-    signed = StateSpace(ss.A, ss.b, sign * ss.c)
-    return check_external(signed, horizon, tol)
+    return check_external(replace(comp, c=sign * comp.c), horizon, tol)
 
 
 class CoefficientCheck(NamedTuple):
@@ -459,8 +422,8 @@ def necessary_coefficients(sys, k: int, operator: str = "hankel",
     poles.  Toeplitz: residues alternate starting positive, poles
     nonnegative.  Returns the first offending 1-based index.
     """
-    pfs = _as_pfs(sys)
-    if pfs is None:
+    pfs = canonical(sys)
+    if not isinstance(pfs, PartialFractionSystem):
         raise UnsupportedRepresentationError(
             "coefficient conditions need simple real poles")
     m = min(k, len(pfs.terms))
@@ -628,8 +591,8 @@ def toeplitz_decompose(sys, k: int,
     tail for pole-at-zero parts.  All real zeros of the source must lie
     below the min(k, n)-th pole.
     """
-    pfs = _as_pfs(sys)
-    if pfs is None:
+    pfs = canonical(sys)
+    if not isinstance(pfs, PartialFractionSystem):
         raise UnsupportedRepresentationError(
             "decomposition needs simple real poles")
     if not pfs.fir.is_zero():
@@ -682,8 +645,8 @@ def toeplitz_decompose(sys, k: int,
 def check_hankel_total(sys, horizon: int = DEFAULT_HORIZON) -> PositivityReport:
     """Exact parallel-lag characterization: every residue and pole
     nonnegative."""
-    pfs = _as_pfs(sys)
-    if pfs is None:
+    pfs = canonical(sys)
+    if not isinstance(pfs, PartialFractionSystem):
         return PositivityReport(
             HANKEL_TOTAL, None, REFUTED, horizon,
             witness={"kind": "non-real-or-repeated-poles"})
@@ -715,8 +678,14 @@ def check_toeplitz_total(sys,
                          horizon: int = DEFAULT_HORIZON) -> PositivityReport:
     """Exact serial-lag characterization: positive gain, real nonnegative
     poles, real nonpositive zeros."""
-    rtf = sys if isinstance(sys, RationalTransferFunction) else \
-        recombine(_require_pfs(sys))
+    if isinstance(sys, RationalTransferFunction):
+        rtf = sys
+    else:
+        pfs = canonical(sys)
+        if not isinstance(pfs, PartialFractionSystem):
+            raise UnsupportedRepresentationError(
+                "operation needs simple real poles")
+        rtf = recombine(pfs)
     if rtf.gain <= 0:
         return PositivityReport(
             TOEPLITZ_TOTAL, None, REFUTED, horizon,
@@ -744,14 +713,6 @@ def check_toeplitz_total(sys,
         TOEPLITZ_TOTAL, None, CERTIFIED, horizon,
         certificate="serial interconnection of first-order lags with "
                     "nonpositive zeros")
-
-
-def _require_pfs(sys) -> PartialFractionSystem:
-    pfs = _as_pfs(sys)
-    if pfs is None:
-        raise UnsupportedRepresentationError(
-            "operation needs simple real poles")
-    return pfs
 
 
 class RepeatedPoleCheck(NamedTuple):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from vardim.compound import (compound_impulse, compound_realization,
-                             compound_system, compound_transfer,
-                             reversal_sign, toeplitz_minor)
+                             compound_transfer, reversal_sign,
+                             toeplitz_minor)
 from vardim.errors import WindowError
 from vardim.lti import (PartialFractionSystem, StateSpace, impulse_response,
                         to_state_space)
@@ -181,14 +181,8 @@ class TestToeplitzMinor:
 
 class TestCompoundSystemBundle:
     def test_bundle_routes_agree(self):
-        comp = compound_system(DEMO, 2)
-        assert comp.pf_form is not None
-        ga = impulse_response(comp.pf_form, 15)
-        gb = impulse_response(comp.realization, 15)
+        pf = compound_transfer(DEMO, 2)
+        ss = compound_realization(to_state_space(DEMO), 2)
+        ga = impulse_response(pf, 15)
+        gb = impulse_response(ss, 15)
         np.testing.assert_allclose(ga.to_array(), gb.to_array(), atol=1e-12)
-
-    def test_state_space_source_has_no_pf_form(self):
-        ss = to_state_space(DEMO)
-        comp = compound_system(ss, 2)
-        assert comp.pf_form is None
-        assert comp.realization.order == 3

@@ -6,7 +6,7 @@ import pytest
 from vardim.errors import (DegenerateSystemError,
                            UnsupportedRepresentationError, WindowError)
 from vardim.lti import (PartialFractionSystem, RationalTransferFunction,
-                        StateSpace, extended_controllability,
+                        StateSpace, canonical, extended_controllability,
                         extended_observability, hankel_matrix,
                         impulse_response, partial_fractions, recombine,
                         rtf_to_state_space, to_state_space, toeplitz_matrix,
@@ -136,6 +136,53 @@ class TestStateSpaceConversion:
         ga = impulse_response(pfs, 12)
         gb = impulse_response(ss, 12)
         np.testing.assert_allclose(ga.to_array(), gb.to_array(), atol=1e-12)
+
+
+class TestCanonical:
+    CASCADE = RationalTransferFunction((1.0, 0.4), (1.0, -1.5, 0.66, -0.08))
+    COMPLEX = StateSpace([[0.9, 0.0, 0.0], [0.0, 0.3, -0.4],
+                          [0.0, 0.4, 0.3]], [1.0, 0.5, 0.5], [1.0, 1.0, 1.0])
+
+    def test_partial_fractions_returned_as_is(self):
+        assert canonical(DEMO) is DEMO
+
+    def test_rational_with_simple_real_poles(self):
+        assert canonical(self.CASCADE) == partial_fractions(self.CASCADE)
+
+    def test_diagonal_state_space_is_exact(self):
+        assert canonical(to_state_space(DEMO)) == DEMO
+
+    def test_companion_state_space(self):
+        form = canonical(rtf_to_state_space(self.CASCADE))
+        assert isinstance(form, PartialFractionSystem)
+        want = partial_fractions(self.CASCADE)
+        np.testing.assert_allclose(form.poles, want.poles, rtol=1e-9)
+        np.testing.assert_allclose(form.residues, want.residues, rtol=1e-9)
+
+    def test_unreachable_modes_dropped(self):
+        ss = StateSpace(np.diag([0.9, 0.5]), [1.0, 0.0], [1.0, 1.0])
+        assert canonical(ss) == PartialFractionSystem(((1.0, 0.9),))
+        zero = StateSpace(np.diag([0.9, 0.5]), [0.0, 0.0], [1.0, 1.0])
+        assert canonical(zero).is_zero()
+
+    def test_complex_poles_stay_state_space(self):
+        assert canonical(self.COMPLEX) is self.COMPLEX
+        num = (2.0, -1.8, 0.52)
+        den = (1.0, -1.5, 0.79, -0.225)
+        form = canonical(RationalTransferFunction(num, den))
+        assert isinstance(form, StateSpace)
+        np.testing.assert_array_equal(
+            form.A, rtf_to_state_space(RationalTransferFunction(num, den)).A)
+
+    def test_repeated_poles_stay_state_space(self):
+        jordan = StateSpace([[0.5, 1.0], [0.0, 0.5]], [0.0, 1.0], [1.0, 0.0])
+        assert canonical(jordan) is jordan
+        form = canonical(RationalTransferFunction((1.0,), (1.0, -1.0, 0.25)))
+        assert isinstance(form, StateSpace)
+
+    def test_unknown_type_rejected(self):
+        with pytest.raises(TypeError):
+            canonical((0.5, 1.0))
 
 
 class TestExtendedBlocks:

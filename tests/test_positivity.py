@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
+import vardim.compound
+import vardim.positivity
 from vardim.compound import compound_impulse
 from vardim.errors import StructuralError
 from vardim.lti import (PartialFractionSystem, RationalTransferFunction,
@@ -11,12 +15,27 @@ from vardim.positivity import (CERTIFIED, HOLDS, REFUTED, UNSUPPORTED,
                                check_toeplitz_k, check_toeplitz_total,
                                diff_system, hankel_decompose,
                                necessary_coefficients, render_report,
-                               repeated_pole_check, toeplitz_decompose)
+                               repeated_pole_check, toeplitz_decompose,
+                               WITNESS_SEARCH_CAP)
 from vardim.signals import Signal, forward_difference
 
 DEMO = PartialFractionSystem(((0.9, 0.9), (0.5, 0.5), (-0.1, 0.1)))
 ALTERNATING = PartialFractionSystem(((2.25, 0.9), (-1.25, 0.5)))
 PARALLEL = PartialFractionSystem(((1.0, 0.9), (1.0, 0.5)))
+ZERO_RESPONSE = StateSpace(np.diag([0.9, 0.5]), [0.0, 0.0], [1.0, 1.0])
+
+
+def even_bank(residues):
+    """Residues on poles evenly spaced from 0.95 down to 0.05."""
+    n = len(residues)
+    poles = [0.95 - i * 0.9 / (n - 1) for i in range(n)]
+    return PartialFractionSystem(tuple(zip(residues, poles)))
+
+
+def spread(n):
+    """n magnitudes in [0.2, 1] in golden-ratio order (no two alike)."""
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    return [0.2 + 0.8 * ((i + 1) * golden % 1.0) for i in range(n)]
 
 
 class TestCheckExternal:
@@ -100,8 +119,27 @@ class TestCheckHankelK:
         assert rep.verdict == CERTIFIED
 
     def test_k_one_equals_external(self):
-        assert check_hankel_k(DEMO, 1).verdict == check_external(
-            DEMO).verdict
+        for sys in (DEMO, ZERO_RESPONSE):
+            assert check_hankel_k(sys, 1).verdict == check_external(
+                sys).verdict
+
+    def test_witness_search_stops_when_no_sample_can_cross(self,
+                                                         monkeypatch):
+        # Order-5 compound of 212 terms with theta ~ 1e-20: the search
+        # used to run to its cap without finding a negative sample.
+        res = spread(10)
+        res[4] = -res[4]
+        horizons = []
+        original = vardim.positivity.impulse_response
+
+        def recording(sys, horizon):
+            horizons.append(horizon)
+            return original(sys, horizon)
+
+        monkeypatch.setattr(vardim.positivity, "impulse_response",
+                            recording)
+        assert check_hankel_k(even_bank(res), 5).verdict == HOLDS
+        assert max(horizons) <= WITNESS_SEARCH_CAP // 256
 
     def test_window_refutation_carries_witness(self):
         rep = check_hankel_k(ALTERNATING, 2)
@@ -128,6 +166,39 @@ class TestCheckToeplitzK:
 
     def test_k_one_equals_external(self):
         assert check_toeplitz_k(DEMO, 1).verdict == CERTIFIED
+
+    def test_undecidable_zero_test_degrades(self):
+        # The order-11 compound recombines to a rational form whose pole
+        # and zero near 2.2e-4 nearly cancel; the zero test cannot run.
+        res = [(-1) ** i * r for i, r in enumerate(spread(12))]
+        res[11] = -res[11]
+        rep = check_toeplitz_k(even_bank(res), 12)
+        assert rep.verdict == REFUTED
+        assert rep.witness["kind"] == "negative-sample"
+        assert rep.details[10].verdict == HOLDS
+
+
+class TestCompoundRoute:
+    @pytest.fixture
+    def no_realization(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("partial-fraction input built a "
+                                 "realization")
+
+        monkeypatch.setattr(vardim.positivity, "compound_realization", fail)
+        monkeypatch.setattr(vardim.compound, "compound_matrix", fail)
+
+    def test_hankel_uses_residue_formula(self, no_realization):
+        bank = even_bank(spread(6))
+        for k in range(1, 7):
+            assert check_hankel_k(bank, k).verdict != REFUTED
+        assert check_hankel_k(DEMO, 3).verdict == REFUTED
+
+    def test_toeplitz_uses_residue_formula(self, no_realization):
+        res = [(-1) ** i * r for i, r in enumerate(spread(6))]
+        for k in range(1, 7):
+            check_toeplitz_k(even_bank(res), k)
+        assert check_toeplitz_k(ALTERNATING, 2).verdict == CERTIFIED
 
 
 class TestNecessaryCoefficients:
