@@ -3,12 +3,16 @@ realizations, and the explicit partial-fraction form for simple real poles.
 
 The checks use the partial-fraction form whenever the source has one and
 build a realization only for other sources; the minor sequence is a
-reference for tests."""
+reference for tests.  The partial-fraction form is built as numpy array
+operations over all C(n, j) index tuples at once, rounding every product
+exactly as the scalar left-to-right loop does."""
 
 from __future__ import annotations
 
 import itertools
 import math
+
+import numpy as np
 
 from .lti import (PartialFractionSystem, StateSpace, extended_controllability,
                   extended_observability, hankel_matrix, toeplitz_matrix)
@@ -76,26 +80,53 @@ def compound_transfer(pfs: PartialFractionSystem,
         return pfs
     if not 2 <= j <= n:
         raise ValueError(f"compound order j={j} out of range for n={n}")
-    residues = pfs.residues
-    poles = pfs.poles
-    raw = []
-    for v in itertools.combinations(range(n), j):
-        res = 1.0
-        for i in v:
-            res *= residues[i]
-        for a, b in itertools.combinations(v, 2):
-            res *= (poles[a] - poles[b]) ** 2
-        pole = 1.0
-        for i in v:
-            pole *= poles[i]
-        raw.append((pole, res))
-    raw.sort(key=lambda pr: pr[0])
-    merged = []
-    for pole, res in raw:
-        if merged and abs(pole - merged[-1][0]) <= MERGE_TOL * max(
-                1.0, abs(pole), abs(merged[-1][0])):
-            merged[-1][1].append(res)
-        else:
-            merged.append((pole, [res]))
-    terms = tuple((math.fsum(parts), pole) for pole, parts in merged)
-    return PartialFractionSystem(terms)
+    m = math.comb(n, j)
+    # Row i holds the i-th index tuple in ``itertools.combinations`` order.
+    idx = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations(range(n), j)), dtype=np.intp,
+        count=m * j).reshape(m, j)
+    residues, poles = pfs.arrays
+    # Squared gaps rounded exactly as the scalar expression rounds them.
+    gaps = np.array([[(a - b) ** 2 for b in pfs.poles] for a in pfs.poles])
+    # One vector product per factor, in the order prod(r_v), then the gaps
+    # of combinations(v, 2), so every product rounds as a left-to-right loop.
+    res = residues[idx[:, 0]]
+    pole = poles[idx[:, 0]]
+    for c in range(1, j):
+        res *= residues[idx[:, c]]
+        pole *= poles[idx[:, c]]
+    for a, b in itertools.combinations(range(j), 2):
+        res *= gaps[idx[:, a], idx[:, b]]
+    del idx
+    order = np.argsort(pole, kind="stable")
+    pole, res = pole[order], res[order]
+    heads = _merge_heads(pole)
+    if heads is not None:
+        ends = np.append(heads[1:], m)
+        merged = res[heads]
+        for g in np.flatnonzero(ends - heads > 1):
+            merged[g] = math.fsum(res[heads[g]:ends[g]].tolist())
+        res, pole = merged, pole[heads]
+    return PartialFractionSystem(np.column_stack((res, pole)))
+
+
+def _merge_heads(pole: np.ndarray):
+    """First index of each merged group of ascending pole products, or None
+    when every product is a group of its own.
+
+    A pole joins the group of its predecessor when it lies within
+    ``MERGE_TOL`` (relative) of that group's first pole.  A step wider than
+    ``MERGE_TOL * max(1, max|pole|)`` always starts a group, so only the
+    rare narrower steps are decided one at a time.
+    """
+    scale = max(1.0, float(np.max(np.abs(pole))))
+    steps = np.flatnonzero(pole[1:] - pole[:-1] <= MERGE_TOL * scale) + 1
+    head = np.ones(len(pole), dtype=bool)
+    first = {}
+    for i in steps.tolist():
+        h = first.get(i - 1, i - 1)
+        a, b = float(pole[i]), float(pole[h])
+        if abs(a - b) <= MERGE_TOL * max(1.0, abs(a), abs(b)):
+            first[i] = h
+            head[i] = False
+    return None if head.all() else np.flatnonzero(head)

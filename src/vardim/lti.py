@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -50,29 +51,46 @@ class PartialFractionSystem:
     fir: Signal = field(default_factory=Signal)
 
     def __post_init__(self):
-        cleaned = []
-        for r, p in self.terms:
-            r, p = float(r), float(p)
-            if not (math.isfinite(r) and math.isfinite(p)):
-                raise ValueError("residues and poles must be finite")
-            if r != 0.0:
-                cleaned.append((r, p))
-        cleaned.sort(key=lambda rp: dominance_key(rp[1]))
-        for (_, pa), (_, pb) in zip(cleaned, cleaned[1:]):
-            if abs(pa - pb) <= POLE_SEP_TOL * max(1.0, abs(pa), abs(pb)):
-                raise UnsupportedRepresentationError(
-                    f"repeated pole {pa}; use StateSpace for repeated poles")
-        object.__setattr__(self, "terms", tuple(cleaned))
+        terms = self.terms
+        if not isinstance(terms, (tuple, list, np.ndarray)):
+            terms = tuple(terms)
+        rp = np.array(terms, dtype=float)
+        if rp.size == 0:
+            rp = rp.reshape(0, 2)
+        if rp.ndim != 2 or rp.shape[1] != 2:
+            raise ValueError("terms must be (residue, pole) pairs")
+        if not np.isfinite(rp).all():
+            raise ValueError("residues and poles must be finite")
+        rp = rp[rp[:, 0] != 0.0]
+        # Stable, and the same total order as sorting by ``dominance_key``.
+        r, p = rp[np.lexsort((-rp[:, 1], -np.abs(rp[:, 1])))].T.copy()
+        scale = np.maximum(np.abs(p), 1.0)
+        near = np.abs(np.diff(p)) <= POLE_SEP_TOL * np.maximum(scale[:-1],
+                                                               scale[1:])
+        if near.any():
+            raise UnsupportedRepresentationError(
+                f"repeated pole {float(p[np.argmax(near)])}; use StateSpace "
+                f"for repeated poles")
+        for arr in (r, p):
+            arr.setflags(write=False)
+        object.__setattr__(self, "terms", tuple(zip(r.tolist(), p.tolist())))
+        object.__setattr__(self, "_r", r)
+        object.__setattr__(self, "_p", p)
         if self.fir.support_start < 0:
             raise ValueError("FIR tail samples must sit at t >= 0")
 
     @property
-    def residues(self) -> tuple:
-        return tuple(r for r, _ in self.terms)
+    def arrays(self) -> tuple:
+        """Residues and poles as read-only float arrays, in term order."""
+        return self._r, self._p
 
-    @property
+    @cached_property
+    def residues(self) -> tuple:
+        return tuple(self._r.tolist())
+
+    @cached_property
     def poles(self) -> tuple:
-        return tuple(p for _, p in self.terms)
+        return tuple(self._p.tolist())
 
     @property
     def order(self) -> int:
@@ -87,8 +105,8 @@ class PartialFractionSystem:
         return not self.terms and self.fir.is_zero()
 
     def scaled(self, a: float) -> "PartialFractionSystem":
-        return PartialFractionSystem(
-            tuple((a * r, p) for r, p in self.terms), self.fir.scaled(a))
+        return PartialFractionSystem(np.column_stack((a * self._r, self._p)),
+                                     self.fir.scaled(a))
 
 
 @dataclass(frozen=True)
@@ -217,17 +235,26 @@ def zeros(rtf: RationalTransferFunction) -> tuple:
     return rtf.zeros
 
 
+def partial_fraction_samples(terms, fir: Signal, times) -> list:
+    """Samples at ``times`` of the sum of r * p**(t-1) over (r, p) in
+    ``terms`` plus the FIR tail, every term rounded once and every sum
+    correctly rounded (``math.fsum``): the values ``impulse_response``
+    reports."""
+    out = []
+    for t in times:
+        acc = [r * p ** (t - 1) for r, p in terms] if t >= 1 else []
+        acc.append(fir.value(t))
+        out.append(math.fsum(acc))
+    return out
+
+
 def impulse_response(sys: SystemLike, horizon: int) -> Signal:
     """Samples g(0..horizon); g(0) = 0 for strictly proper dynamics."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if isinstance(sys, PartialFractionSystem):
-        vals = []
-        for t in range(horizon + 1):
-            acc = [r * p ** (t - 1) for r, p in sys.terms] if t >= 1 else []
-            acc.append(sys.fir.value(t))
-            vals.append(math.fsum(acc))
-        return Signal(0, tuple(vals))
+        return Signal(0, partial_fraction_samples(sys.terms, sys.fir,
+                                                  range(horizon + 1)))
     if isinstance(sys, StateSpace):
         vals = [0.0]
         x = sys.b.copy()

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -20,8 +21,9 @@ from .compound import compound_realization, compound_transfer, reversal_sign
 from .errors import StructuralError, UnsupportedRepresentationError
 from .lti import (DEFAULT_HORIZON, PartialFractionSystem,
                   RationalTransferFunction, StateSpace, canonical,
-                  dominance_key, hankel_matrix, impulse_response, recombine,
-                  to_state_space, toeplitz_matrix)
+                  dominance_key, hankel_matrix, impulse_response,
+                  partial_fraction_samples, recombine, to_state_space,
+                  toeplitz_matrix)
 from .signals import Signal, forward_difference
 from .totpos import is_pd, is_psd, minor_zero_threshold
 
@@ -37,6 +39,9 @@ SAMPLE_TOL = 1e-12
 # How far the sampler is willing to extend past the horizon to pin a
 # concrete negative sample for structurally refuted systems.
 WITNESS_SEARCH_CAP = 1 << 18
+# Bytes of terms one block of the guarded sample scan holds at most (one
+# float64 array of block length x term count, reused block to block).
+SCAN_BLOCK_BYTES = 1 << 21
 
 EXTERNAL = "external"
 HANKEL_K = "hankel-k"
@@ -110,32 +115,165 @@ def _first_nonzero_time(g: Signal, tol: float) -> Optional[int]:
 
 
 def _sample_scale(pfs: PartialFractionSystem) -> float:
-    parts = [abs(r) for r in pfs.residues]
+    parts = np.abs(pfs.arrays[0]).tolist()
     parts.extend(abs(v) for v in pfs.fir.values)
     return max(math.fsum(parts), 1e-300)
 
 
-def _find_negative_sample(pfs: PartialFractionSystem, start: int,
-                          tol: float) -> Optional[tuple]:
-    # Past the FIR support every sample is bounded by sum|r| rho^(t-1),
-    # which never grows once rho <= 1: when that bound is below tol/2 (a
-    # rounding margin) no later sample can fall below -tol.
+class _SampleScan:
+    """Guarded scan of the samples g(t) of a partial-fraction system against
+    the thresholds ``check_external`` uses.
+
+    numpy forms the terms r * p**(t-1) for a block of consecutive t at a
+    time and sums them.  A block doubles its rows with the squares p**2,
+    p**4, ...; row t then holds p**(t-1) as a product of t - 1 rounded
+    factors, as many as repeated multiplication from t = 1 takes.
+    With u = 2**-53, each approximate term is within (t + 1) u of the
+    exact term, the block sum adds at most (m + 1) u of the summed
+    magnitudes, and the exact sample ``partial_fraction_samples`` (libm pow
+    within one ulp, one product, a correctly rounded sum) is within 4 u of
+    the exact value, so the two differ by at most
+
+        B(t) = (t + m + 8) * 2**-52 * W(t) + (t + 3) * (m + 1) * 2**-1074
+               * max(1, max|r|),
+
+    W(t) being the computed sum of |terms| and the last part covering
+    underflow.  A sample whose approximation lies within B(t) of a
+    threshold, or is not finite, is re-decided from its exact value, so
+    every decision equals the one the exact samples give.  Blocks hold at
+    most ``SCAN_BLOCK_BYTES`` of terms; later scans continue the powers
+    where the previous one stopped.
+    """
+
+    def __init__(self, pfs: PartialFractionSystem, theta: float):
+        self.pfs = pfs
+        self.theta = theta
+        self.r, self.p = pfs.arrays
+        m = len(self.r)
+        self.rows = max(1, SCAN_BLOCK_BYTES // (8 * max(m, 1)))
+        self.floor = (m + 1) * 2.0 ** -1074 * max(
+            1.0, float(np.max(np.abs(self.r), initial=0.0)))
+        self.power = np.ones(m)  # p**(t - 1) at the first t >= max(next, 1)
+        self.next = 0
+        self._exact = {}
+
+    def sample(self, t: int) -> float:
+        if t not in self._exact:
+            self._exact[t] = partial_fraction_samples(
+                self.pfs.terms, self.pfs.fir, (t,))[0]
+        return self._exact[t]
+
+    @cached_property
+    def _magnitudes(self) -> tuple:
+        return tuple(zip(np.abs(self.r[1:]).tolist(),
+                         np.abs(self.p[1:]).tolist()))
+
+    def lead_tail(self, t: int) -> tuple:
+        """Leading term and the sum of the other terms' magnitudes at t."""
+        lead = partial_fraction_samples(self.pfs.terms[:1], Signal(), (t,))
+        tail = partial_fraction_samples(self._magnitudes, Signal(), (t,))
+        return lead[0], tail[0]
+
+    def dominates(self, t: int) -> bool:
+        lead, tail = self.lead_tail(t)
+        return lead > tail
+
+    def _blocks(self, stop: int):
+        """Yield (t, approximate g, bound, lead, tail) arrays for blocks of
+        t from ``next`` up to ``stop``; t = 0 has no pole terms."""
+        fir = self.pfs.fir
+        m = len(self.r)
+        buf = np.empty((min(self.rows, max(stop - self.next + 1, 0)), m))
+        while self.next <= stop:
+            ts = np.arange(self.next, min(self.next + self.rows, stop + 1))
+            q = buf[:len(ts)]
+            first = 1 if ts[0] == 0 else 0  # the row of the first t >= 1
+            q[:first] = 0.0
+            if first < len(q):
+                q[first] = self.power
+                # Doubling: the rows so far times p**(2**s), itself formed
+                # by repeated squaring, fill as many rows again.
+                step, k = self.p, first + 1
+                while True:
+                    end = min(2 * k - first, len(q))
+                    np.multiply(q[first:first + end - k], step, out=q[k:end])
+                    if end == len(q):
+                        break
+                    step, k = step * step, end
+                self.power = q[-1] * self.p
+            self.next = int(ts[-1]) + 1
+            q *= self.r
+            f = np.zeros(len(ts))
+            lo = max(int(ts[0]), fir.support_start)
+            hi = min(int(ts[-1]), fir.support_end)
+            if lo <= hi:
+                f[lo - ts[0]:hi - ts[0] + 1] = fir.values[
+                    lo - fir.support_start:hi - fir.support_start + 1]
+            lead = q[:, 0].copy() if m else np.zeros(len(ts))
+            g = q.sum(axis=1) + f
+            np.abs(q, out=q)
+            tail = q[:, 1:].sum(axis=1)
+            w = tail + np.abs(lead) + np.abs(f)
+            bound = (ts + (m + 8)) * 2.0 ** -52 * w + (ts + 3) * self.floor
+            yield ts, g, bound, lead, tail
+
+    @staticmethod
+    def _first(ts, certain, near, exact) -> Optional[int]:
+        """First t that is certain, or near the threshold and ``exact``."""
+        for i in np.flatnonzero(certain | near).tolist():
+            t = int(ts[i])
+            if not near[i] or exact(t):
+                return t
+        return None
+
+    def run(self, stop: int, t0: Optional[int] = None,
+            dominance_from: Optional[int] = None) -> tuple:
+        """Scan on from the last sample scanned up to ``stop``: t0 (unless
+        already known), the first negative sample and the first
+        tail-dominance time from ``dominance_from``.  The scan ends at the
+        first negative sample."""
+        theta = self.theta
+        t_star = None
+        for ts, g, bound, lead, tail in self._blocks(stop):
+            lo, hi = g + theta, g - theta
+            near_lo = ~(np.abs(lo) > bound)
+            if t0 is None:
+                t0 = self._first(
+                    ts, ((lo < 0) | (hi > 0)), near_lo | ~(np.abs(hi) > bound),
+                    lambda t: abs(self.sample(t)) > theta)
+            neg = self._first(ts, lo < 0, near_lo,
+                              lambda t: self.sample(t) < -theta)
+            if neg is not None:
+                return t0, neg, None
+            if dominance_from is not None and t_star is None:
+                live = ts >= dominance_from
+                d = lead - tail
+                t_star = self._first(
+                    ts, (d > 0) & live, ~(np.abs(d) > bound) & live,
+                    self.dominates)
+        return t0, None, t_star
+
+
+def _witness_horizon(pfs: PartialFractionSystem, start: int,
+                     tol: float) -> int:
+    """Last sample the witness search examines: the first of the horizons
+    max(start, 8) * 4**i (up to ``WITNESS_SEARCH_CAP``) at which the bound
+    sum|r| rho^(t-1) is at most tol/2, past the FIR support with rho <= 1
+    (no later sample can then fall below -tol), else the last of them, or
+    0 when even the first exceeds the cap."""
     rho = max((abs(p) for p in pfs.poles), default=0.0)
-    weight = math.fsum(abs(r) for r in pfs.residues)
+    weight = math.fsum(np.abs(pfs.arrays[0]).tolist())
     fir = pfs.fir.trimmed()
     fir_end = fir.support_end if len(fir) else 0
     horizon = max(start, 8)
+    last = 0
     while horizon <= WITNESS_SEARCH_CAP:
-        g = impulse_response(pfs, horizon)
-        for t in range(horizon + 1):
-            v = g.value(t)
-            if v < -tol:
-                return (t, v)
+        last = horizon
         if (rho <= 1.0 and horizon > fir_end
                 and weight * rho ** (horizon - 1) <= tol / 2):
-            return None
+            break
         horizon *= 4
-    return None
+    return last
 
 
 def check_external(sys, horizon: int = DEFAULT_HORIZON,
@@ -153,15 +291,22 @@ def check_external(sys, horizon: int = DEFAULT_HORIZON,
         return _check_external_sampled(sys, horizon, tol)
     theta = tol * _sample_scale(pfs) if not pfs.is_zero() else tol
     need = max(horizon, pfs.fir.support_end + 1 if len(pfs.fir) else 1)
-    g = impulse_response(pfs, need)
-    t0 = _first_nonzero_time(g, theta)
-
-    for t in range(need + 1):
-        v = g.value(t)
-        if v < -theta:
-            return PositivityReport(
-                EXTERNAL, 1, REFUTED, horizon, t0=t0,
-                witness={"kind": "negative-sample", "time": t, "value": v})
+    fir = pfs.fir.trimmed()
+    fir_end = fir.support_end if len(fir) else 0
+    dominance_from = None
+    if pfs.terms:
+        r1, p1 = pfs.terms[0]
+        poles = pfs.arrays[1]
+        if r1 > 0 and p1 > 0 and bool(np.all(
+                p1 - np.abs(poles[1:]) > DOMINANCE_MARGIN * max(1.0, p1))):
+            dominance_from = max(1, fir_end + 1)
+    scan = _SampleScan(pfs, theta)
+    t0, neg, t_star = scan.run(need, dominance_from=dominance_from)
+    if neg is not None:
+        return PositivityReport(
+            EXTERNAL, 1, REFUTED, horizon, t0=t0,
+            witness={"kind": "negative-sample", "time": neg,
+                     "value": scan.sample(neg)})
 
     if pfs.is_zero() or t0 is None:
         return PositivityReport(
@@ -175,8 +320,6 @@ def check_external(sys, horizon: int = DEFAULT_HORIZON,
             certificate=f"finite support exhausted at t="
                         f"{pfs.fir.support_end}")
 
-    r1, p1 = pfs.terms[0]
-    rest = pfs.terms[1:]
     suspicious = None
     if p1 < 0 or r1 < 0:
         suspicious = {"kind": "dominant-structure",
@@ -196,28 +339,20 @@ def check_external(sys, horizon: int = DEFAULT_HORIZON,
     if suspicious is not None:
         # Any of these structures forces a negative sample at finite time;
         # pin one down so the refutation carries a concrete witness.
-        found = _find_negative_sample(pfs, need, theta)
-        if found:
-            suspicious.update({"time": found[0], "value": found[1]})
+        found = scan.run(_witness_horizon(pfs, need, theta), t0)[1]
+        if found is not None:
+            suspicious.update({"time": found, "value": scan.sample(found)})
             return PositivityReport(EXTERNAL, 1, REFUTED, horizon, t0=t0,
                                     witness=suspicious)
         return PositivityReport(EXTERNAL, 1, HOLDS, horizon, t0=t0)
 
-    strict = all(p1 - abs(p) > DOMINANCE_MARGIN * max(1.0, p1)
-                 for _, p in rest)
-    if strict and p1 > 0:
-        fir_end = pfs.fir.trimmed().support_end if len(pfs.fir.trimmed()) \
-            else 0
-        for t_star in range(max(1, fir_end + 1), need + 1):
-            lead = r1 * p1 ** (t_star - 1)
-            tail = math.fsum(abs(r) * abs(p) ** (t_star - 1)
-                             for r, p in rest)
-            if lead > tail:
-                return PositivityReport(
-                    EXTERNAL, 1, CERTIFIED, horizon, t0=t0,
-                    certificate=(f"tail dominance from t={t_star}: "
-                                 f"{_fmt(lead)} > {_fmt(tail)} and samples "
-                                 f"nonnegative up to t={t_star}"))
+    if t_star is not None:
+        lead, tail = scan.lead_tail(t_star)
+        return PositivityReport(
+            EXTERNAL, 1, CERTIFIED, horizon, t0=t0,
+            certificate=(f"tail dominance from t={t_star}: "
+                         f"{_fmt(lead)} > {_fmt(tail)} and samples "
+                         f"nonnegative up to t={t_star}"))
     return PositivityReport(
         EXTERNAL, 1, HOLDS, horizon, t0=t0,
         certificate=None,
@@ -270,12 +405,14 @@ def check_hankel_k(sys, k: int, horizon: int = DEFAULT_HORIZON,
     Applies the finite reduction: the order-(k-1) windows at offsets 1 and
     2 must be positive (semi)definite and the k-th compound system must be
     externally positive.  Verdict is the worst sub-verdict.  For k above
-    the system order the total-positivity characterization is used.
+    the order of the canonical form (modes without residue dropped) the
+    total-positivity characterization is used.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k > sys.order:
-        return replace(check_hankel_total(sys, horizon),
+    form = canonical(sys)
+    if k > form.order:
+        return replace(check_hankel_total(form, horizon),
                        property_name=HANKEL_K, k=k)
 
     need = max(horizon, 2 * k + 2)
@@ -297,7 +434,7 @@ def check_hankel_k(sys, k: int, horizon: int = DEFAULT_HORIZON,
                 witness={"kind": "window-not-positive-semidefinite",
                          "offset": 2, "order": k - 1})
 
-    sub = check_external(_compound(canonical(sys), k), horizon, tol)
+    sub = check_external(_compound(form, k), horizon, tol)
     details.append(sub)
     witness = dict(sub.witness) if sub.witness else None
     if witness is not None:
@@ -348,7 +485,7 @@ def check_toeplitz_k(sys, k: int, horizon: int = DEFAULT_HORIZON,
     witness = None
     verdicts = []
     for j in range(1, k + 1):
-        sub = _signed_compound_external(form, j, horizon, tol)
+        sub = _compound_external(form, j, horizon, tol, reversal_sign(j))
         details.append(sub)
         verdicts.append(sub.verdict)
         if sub.verdict == REFUTED and witness is None:
@@ -395,14 +532,17 @@ def _pole_magnitudes(form) -> tuple:
     return tuple(sorted((complex(v) for v in lam), key=dominance_key))
 
 
-def _signed_compound_external(form, j: int, horizon: int,
-                              tol: float) -> PositivityReport:
-    sign = reversal_sign(j)
+def _compound_external(form, j: int, horizon: int, tol: float,
+                       sign: int) -> PositivityReport:
+    """External positivity of ``sign`` times the order-j compound of a
+    canonical form; above the form's order the compound is zero."""
     if j > form.order:
         return PositivityReport(
             EXTERNAL, 1, CERTIFIED, horizon, t0=None,
             certificate=f"compound order {j} above system order: zero")
     comp = _compound(form, j)
+    if sign == 1:
+        return check_external(comp, horizon, tol)
     if isinstance(comp, PartialFractionSystem):
         return check_external(comp.scaled(float(sign)), horizon, tol)
     return check_external(replace(comp, c=sign * comp.c), horizon, tol)

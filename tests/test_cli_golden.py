@@ -1,7 +1,8 @@
 """Byte-for-byte CLI regression: stdout, exit code and written files.
 
 The expected outputs in ``data/cli_golden.json`` were recorded before the
-positivity checks were moved onto ``lti.canonical``; any change to them
+positivity checks were moved onto ``lti.canonical``, and the order-8 cases
+before the compound and sample scans were vectorised; any change to them
 is a change of behaviour.  Regenerate with
 ``PYTHONPATH=src python tests/test_cli_golden.py`` only when a behaviour
 change is intended.
@@ -59,7 +60,44 @@ COMMANDS = {
                              "2", "--out", "dec."],
 }
 
-CASES = [f"{s}:{c}" for s in SYSTEMS for c in COMMANDS]
+# Order-8 systems checked at k=4, where every compound of order 4 has
+# C(8, 4) = 70 pole/residue terms.
+SIZE_SYSTEMS = {
+    "bank8-pfs": "poles = [0.95, 0.85, 0.75, 0.65, 0.55, 0.45, 0.35, 0.25]\n"
+                 "residues = [0.5, 1.0, 0.3, 0.7, 0.4, 0.9, 0.2, 0.6]\n",
+    "bank8-ss": "A = [[0.95, 0, 0, 0, 0, 0, 0, 0], "
+                "[0, 0.85, 0, 0, 0, 0, 0, 0],\n"
+                "     [0, 0, 0.75, 0, 0, 0, 0, 0], "
+                "[0, 0, 0, 0.65, 0, 0, 0, 0],\n"
+                "     [0, 0, 0, 0, 0.55, 0, 0, 0], "
+                "[0, 0, 0, 0, 0, 0.45, 0, 0],\n"
+                "     [0, 0, 0, 0, 0, 0, 0.35, 0], "
+                "[0, 0, 0, 0, 0, 0, 0, 0.25]]\n"
+                "b = [0.5, 1.0, 0.3, 0.7, 0.4, 0.9, 0.2, 0.6]\n"
+                "c = [1, 1, 1, 1, 1, 1, 1, 1]\n",
+    "cascade8-pfs": "poles = [0.95, 0.85, 0.75, 0.65, 0.55, 0.45, 0.35, "
+                    "0.25]\n"
+                    "residues = [4640.6250000000055, -25564.236111111128, "
+                    "59057.2916666667, -73828.12500000006, 53602.43055555556, "
+                    "-22401.041666666653, 4921.874999999996, "
+                    "-428.8194444444444]\n",
+    "cascade8-rtf": "num = [1.0, 1.2, 0.39, 0.028000000000000004]\n"
+                    "den = [1.0, -4.8, 9.87, -11.339999999999998, "
+                    "7.950337499999998, -3.4769699999999997, "
+                    "0.9245751874999999, -0.13638862499999999, "
+                    "0.0085251181640625]\n",
+}
+SYSTEMS.update(SIZE_SYSTEMS)
+
+SIZE_COMMANDS = {
+    "check-hankel-4": ["check", "--operator", "hankel", "--k", "4"],
+    "check-toeplitz-4": ["check", "--operator", "toeplitz", "--k", "4"],
+}
+COMMANDS.update(SIZE_COMMANDS)
+
+CASES = ([f"{s}:{c}" for s in SYSTEMS if s not in SIZE_SYSTEMS
+          for c in COMMANDS if c not in SIZE_COMMANDS]
+         + [f"{s}:{c}" for s in SIZE_SYSTEMS for c in SIZE_COMMANDS])
 
 
 def run_case(case: str, workdir: Path) -> dict:

@@ -129,17 +129,17 @@ class TestCheckHankelK:
         # used to run to its cap without finding a negative sample.
         res = spread(10)
         res[4] = -res[4]
-        horizons = []
-        original = vardim.positivity.impulse_response
+        reached = []
+        blocks = vardim.positivity._SampleScan._blocks
 
-        def recording(sys, horizon):
-            horizons.append(horizon)
-            return original(sys, horizon)
+        def recording(self, stop):
+            reached.append(stop)
+            return blocks(self, stop)
 
-        monkeypatch.setattr(vardim.positivity, "impulse_response",
+        monkeypatch.setattr(vardim.positivity._SampleScan, "_blocks",
                             recording)
         assert check_hankel_k(even_bank(res), 5).verdict == HOLDS
-        assert max(horizons) <= WITNESS_SEARCH_CAP // 256
+        assert max(reached) <= WITNESS_SEARCH_CAP // 256
 
     def test_window_refutation_carries_witness(self):
         rep = check_hankel_k(ALTERNATING, 2)

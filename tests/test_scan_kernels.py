@@ -1,0 +1,402 @@
+"""The vectorised residue-space route against its scalar definitions.
+
+``compound_transfer``, the ``PartialFractionSystem`` constructor and the
+partial-fraction scans of ``check_external`` run as numpy array operations.
+The scalar definitions they replace are kept below as test-only references;
+terms must compare equal with ``==`` and reports by ``repr``.
+"""
+
+import itertools
+import math
+import tracemalloc
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import vardim.positivity
+from vardim.compound import MERGE_TOL, compound_transfer
+from vardim.errors import UnsupportedRepresentationError
+from vardim.lti import (POLE_SEP_TOL, PartialFractionSystem, StateSpace,
+                        dominance_key, partial_fraction_samples)
+from vardim.positivity import (CERTIFIED, DOMINANCE_MARGIN, EXTERNAL, HOLDS,
+                               REFUTED, SAMPLE_TOL, SCAN_BLOCK_BYTES,
+                               WITNESS_SEARCH_CAP, PositivityReport, _fmt,
+                               _real_zero_at_or_above, _sample_scale,
+                               _SampleScan, check_external, check_hankel_k)
+from vardim.signals import Signal
+
+# ---------------------------------------------------------------------------
+# Scalar references.
+
+
+def ref_terms(terms) -> tuple:
+    """The scalar constructor: validate, drop zero residues, sort by
+    dominance, reject repeated poles."""
+    cleaned = []
+    for r, p in terms:
+        r, p = float(r), float(p)
+        if not (math.isfinite(r) and math.isfinite(p)):
+            raise ValueError("residues and poles must be finite")
+        if r != 0.0:
+            cleaned.append((r, p))
+    cleaned.sort(key=lambda rp: dominance_key(rp[1]))
+    for (_, pa), (_, pb) in zip(cleaned, cleaned[1:]):
+        if abs(pa - pb) <= POLE_SEP_TOL * max(1.0, abs(pa), abs(pb)):
+            raise UnsupportedRepresentationError(
+                f"repeated pole {pa}; use StateSpace for repeated poles")
+    return tuple(cleaned)
+
+
+def ref_compound_terms(pfs: PartialFractionSystem, j: int) -> tuple:
+    """The scalar index-tuple loop with its sequential merge."""
+    n = len(pfs.terms)
+    if j == 1:
+        return pfs.terms
+    residues, poles = pfs.residues, pfs.poles
+    raw = []
+    for v in itertools.combinations(range(n), j):
+        res = 1.0
+        for i in v:
+            res *= residues[i]
+        for a, b in itertools.combinations(v, 2):
+            res *= (poles[a] - poles[b]) ** 2
+        pole = 1.0
+        for i in v:
+            pole *= poles[i]
+        raw.append((pole, res))
+    raw.sort(key=lambda pr: pr[0])
+    merged = []
+    for pole, res in raw:
+        if merged and abs(pole - merged[-1][0]) <= MERGE_TOL * max(
+                1.0, abs(pole), abs(merged[-1][0])):
+            merged[-1][1].append(res)
+        else:
+            merged.append((pole, [res]))
+    return ref_terms(tuple((math.fsum(parts), pole)
+                           for pole, parts in merged))
+
+
+def ref_samples(pfs: PartialFractionSystem, horizon: int) -> list:
+    vals = []
+    for t in range(horizon + 1):
+        acc = [r * p ** (t - 1) for r, p in pfs.terms] if t >= 1 else []
+        acc.append(pfs.fir.value(t))
+        vals.append(math.fsum(acc))
+    return vals
+
+
+def ref_scale(pfs: PartialFractionSystem) -> float:
+    parts = [abs(r) for r in pfs.residues]
+    parts.extend(abs(v) for v in pfs.fir.values)
+    return max(math.fsum(parts), 1e-300)
+
+
+def ref_negative_sample(pfs, start, tol):
+    rho = max((abs(p) for p in pfs.poles), default=0.0)
+    weight = math.fsum(abs(r) for r in pfs.residues)
+    fir = pfs.fir.trimmed()
+    fir_end = fir.support_end if len(fir) else 0
+    horizon = max(start, 8)
+    while horizon <= WITNESS_SEARCH_CAP:
+        g = ref_samples(pfs, horizon)
+        for t in range(horizon + 1):
+            if g[t] < -tol:
+                return (t, g[t])
+        if (rho <= 1.0 and horizon > fir_end
+                and weight * rho ** (horizon - 1) <= tol / 2):
+            return None
+        horizon *= 4
+    return None
+
+
+def ref_check_external(pfs, horizon=64, tol=SAMPLE_TOL) -> PositivityReport:
+    """``check_external`` on a partial-fraction system, scalar scans."""
+    theta = tol * ref_scale(pfs) if not pfs.is_zero() else tol
+    need = max(horizon, pfs.fir.support_end + 1 if len(pfs.fir) else 1)
+    g = ref_samples(pfs, need)
+    t0 = next((t for t in range(need + 1) if abs(g[t]) > theta), None)
+    for t in range(need + 1):
+        if g[t] < -theta:
+            return PositivityReport(
+                EXTERNAL, 1, REFUTED, horizon, t0=t0,
+                witness={"kind": "negative-sample", "time": t,
+                         "value": g[t]})
+    if pfs.is_zero() or t0 is None:
+        return PositivityReport(
+            EXTERNAL, 1, CERTIFIED, horizon, t0=t0,
+            certificate="impulse response identically zero")
+    if not pfs.terms:
+        return PositivityReport(
+            EXTERNAL, 1, CERTIFIED, horizon, t0=t0,
+            certificate=f"finite support exhausted at t="
+                        f"{pfs.fir.support_end}")
+    r1, p1 = pfs.terms[0]
+    rest = pfs.terms[1:]
+    suspicious = None
+    if p1 < 0 or r1 < 0:
+        suspicious = {"kind": "dominant-structure",
+                      "reason": ("dominant pole negative" if p1 < 0 else
+                                 "dominant residue nonpositive"),
+                      "pole": p1, "residue": r1}
+    else:
+        try:
+            zero = _real_zero_at_or_above(pfs, p1)
+        except ValueError:
+            return PositivityReport(EXTERNAL, 1, HOLDS, horizon, t0=t0)
+        if zero is not None:
+            suspicious = {"kind": "real-zero-dominates", "zero": zero,
+                          "pole": p1}
+    if suspicious is not None:
+        found = ref_negative_sample(pfs, need, theta)
+        if found:
+            suspicious.update({"time": found[0], "value": found[1]})
+            return PositivityReport(EXTERNAL, 1, REFUTED, horizon, t0=t0,
+                                    witness=suspicious)
+        return PositivityReport(EXTERNAL, 1, HOLDS, horizon, t0=t0)
+    strict = all(p1 - abs(p) > DOMINANCE_MARGIN * max(1.0, p1)
+                 for _, p in rest)
+    if strict and p1 > 0:
+        fir_end = pfs.fir.trimmed().support_end if len(pfs.fir.trimmed()) \
+            else 0
+        for t_star in range(max(1, fir_end + 1), need + 1):
+            lead = r1 * p1 ** (t_star - 1)
+            tail = math.fsum(abs(r) * abs(p) ** (t_star - 1)
+                             for r, p in rest)
+            if lead > tail:
+                return PositivityReport(
+                    EXTERNAL, 1, CERTIFIED, horizon, t0=t0,
+                    certificate=(f"tail dominance from t={t_star}: "
+                                 f"{_fmt(lead)} > {_fmt(tail)} and samples "
+                                 f"nonnegative up to t={t_star}"))
+    return PositivityReport(EXTERNAL, 1, HOLDS, horizon, t0=t0)
+
+
+def outcome(fn, *args, **kwargs):
+    """repr of the result, or the exception's type and message."""
+    try:
+        return repr(fn(*args, **kwargs))
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return f"{type(exc).__name__}: {exc}"
+
+
+# ---------------------------------------------------------------------------
+# Systems.
+
+
+def even_poles(n):
+    return [0.95 - i * 0.9 / (n - 1) for i in range(n)] if n > 1 else [0.5]
+
+
+def spread(n):
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    return [0.2 + 0.8 * ((i + 1) * golden % 1.0) for i in range(n)]
+
+
+def cascade(poles, zeros):
+    res = []
+    for i, p in enumerate(poles):
+        r = 1.0
+        for z in zeros:
+            r *= p - z
+        for j, q in enumerate(poles):
+            if j != i:
+                r /= p - q
+        res.append(r)
+    return PartialFractionSystem(tuple(zip(res, poles)))
+
+
+def small_systems():
+    """Banks, negated banks, alternating banks, cascades and random
+    systems with negative poles, n = 2..8."""
+    rng = np.random.default_rng(7)
+    out = [PartialFractionSystem(((0.9, 0.9), (0.5, 0.5), (-0.1, 0.1)))]
+    for n in range(2, 9):
+        poles, res = even_poles(n), spread(n)
+        out.append(PartialFractionSystem(tuple(zip(res, poles))))
+        neg = list(res)
+        neg[n // 2] = -neg[n // 2]
+        out.append(PartialFractionSystem(tuple(zip(neg, poles))))
+        alt = [(-1) ** i * r for i, r in enumerate(res)]
+        out.append(PartialFractionSystem(tuple(zip(alt, poles))))
+        out.append(cascade(poles, [-0.1 - 0.2 * i for i in range(n // 2)]))
+        p = rng.uniform(-0.95, 0.95, n)
+        out.append(PartialFractionSystem(
+            tuple(zip(rng.uniform(-1.5, 1.5, n).tolist(), p.tolist()))))
+    # Pole products that coincide exactly and nearly.
+    out.append(PartialFractionSystem(
+        ((1.0, 0.8), (0.5, 0.5), (0.7, 0.4), (0.3, 0.25), (0.2, 0.1))))
+    return out
+
+
+SYSTEMS = small_systems()
+
+
+# ---------------------------------------------------------------------------
+# Bit identity on fixed systems.
+
+
+class TestScalarReferences:
+    def test_constructor_matches_scalar(self):
+        for pfs in SYSTEMS:
+            raw = pfs.terms[::-1] + ((0.0, 0.123),)
+            assert PartialFractionSystem(raw).terms == ref_terms(raw)
+
+    def test_constructor_errors_match_scalar(self):
+        for raw in (((1.0, float("nan")),), ((float("inf"), 0.5),),
+                    ((1.0, 0.5), (2.0, 0.5 + 1e-14)),
+                    ((1.0, 0.5), (0.0, 0.5), (2.0, -0.5))):
+            assert outcome(lambda: PartialFractionSystem(raw).terms) == \
+                outcome(ref_terms, raw)
+
+    def test_compound_terms_match_scalar_every_order(self):
+        for pfs in SYSTEMS:
+            for j in range(1, len(pfs.terms) + 1):
+                assert compound_transfer(pfs, j).terms == \
+                    ref_compound_terms(pfs, j)
+
+    def test_compound_reports_match_scalar_every_order(self):
+        for pfs in SYSTEMS:
+            for j in range(1, len(pfs.terms) + 1):
+                comp = compound_transfer(pfs, j)
+                for signed in (comp, comp.scaled(-1.0)):
+                    assert repr(check_external(signed)) == \
+                        repr(ref_check_external(signed))
+
+    def test_scaled_matches_scalar(self):
+        for pfs in SYSTEMS:
+            for a in (-1.0, 0.5, 3.0, 0.0):
+                assert pfs.scaled(a).terms == ref_terms(
+                    tuple((a * r, p) for r, p in pfs.terms))
+
+
+# ---------------------------------------------------------------------------
+# Random systems, including FIR tails, zero residues, negative poles and
+# residues at +-theta.
+
+poles_st = st.lists(st.floats(-0.95, 0.95), min_size=0, max_size=6,
+                    unique=True)
+residue_st = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
+fir_st = st.lists(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)), max_size=4)
+# Where a sample sits relative to theta: on it, or just beside it.
+SIDES = (-1.0, 1.0, -1.0 - 2.0 ** -40, -1.0 + 2.0 ** -40, 1.0 + 2.0 ** -40)
+
+
+def build(terms, fir: dict) -> PartialFractionSystem:
+    span = max(fir, default=-1)
+    try:
+        return PartialFractionSystem(tuple(terms), Signal(
+            0, tuple(fir.get(t, 0.0) for t in range(span + 1))))
+    except UnsupportedRepresentationError:
+        assume(False)
+
+
+@st.composite
+def systems_with_tolerance(draw):
+    """A partial-fraction system and a tolerance; optionally a residue
+    placed at +-theta, or g(1) placed at +-theta through the FIR tail."""
+    tol = draw(st.sampled_from((SAMPLE_TOL, 1e-9, 1e-15)))
+    poles = draw(poles_st)
+    terms = [(draw(residue_st), p) for p in poles]
+    start = draw(st.integers(0, 3))
+    fir = {start + i: v for i, v in enumerate(draw(fir_st))}
+    pfs = build(terms, fir)
+    place = draw(st.sampled_from((None, "residue", "sample")))
+    side = draw(st.sampled_from(SIDES))
+    if place == "residue":
+        theta = tol * _sample_scale(pfs)
+        pfs = build(terms + [(side * theta, draw(st.floats(-0.95, 0.95)))],
+                    fir)
+    elif place == "sample":
+        rest = math.fsum(r for r, _ in terms)
+        for _ in range(3):
+            theta = tol * _sample_scale(pfs)
+            fir[1] = side * theta - rest
+            pfs = build(terms, fir)
+    return pfs, tol
+
+
+class TestRandomSystems:
+    @settings(max_examples=200, deadline=None)
+    @given(systems_with_tolerance(), st.integers(1, 40),
+           st.sampled_from((None, 1, 2, 3, 7)))
+    def test_check_external_matches_scalar(self, case, horizon, rows):
+        # ``rows`` caps a scan block at that many samples, so the powers
+        # continue across block boundaries.
+        pfs, tol = case
+        size = SCAN_BLOCK_BYTES if rows is None else 8 * rows * max(
+            len(pfs.terms), 1)
+        with mock.patch.object(vardim.positivity, "SCAN_BLOCK_BYTES", size):
+            rep = check_external(pfs, horizon, tol)
+        assert repr(rep) == repr(ref_check_external(pfs, horizon, tol))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(residue_st, st.one_of(
+        st.floats(-0.95, 0.95),
+        st.sampled_from((0.9, 0.8, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, -0.4)))),
+        min_size=2, max_size=7, unique_by=lambda rp: rp[1]))
+    def test_compounds_match_scalar(self, terms):
+        # Grid poles make pole products coincide exactly or nearly.
+        pfs = build(terms, {})
+        for j in range(1, len(pfs.terms) + 1):
+            assert outcome(lambda: compound_transfer(pfs, j).terms) == \
+                outcome(ref_compound_terms, pfs, j)
+
+
+# ---------------------------------------------------------------------------
+# Guard band, memory and the regressions.
+
+
+class TestGuardBand:
+    # g(1) = 1 + r - 1 = r exactly, but numpy's sum rounds 1 + r first and
+    # lands on the other side of -theta.
+    PFS = PartialFractionSystem(((1.0, 0.9), (-2.000010000002e-12, 0.5),
+                                 (-1.0, 0.3)))
+
+    def test_case_straddles_the_threshold(self):
+        theta = SAMPLE_TOL * _sample_scale(self.PFS)
+        scan = _SampleScan(self.PFS, theta)
+        ts, approx, bound, _, _ = next(scan._blocks(1))
+        assert ts.tolist() == [0, 1]
+        exact = partial_fraction_samples(self.PFS.terms, self.PFS.fir, (1,))[0]
+        assert exact < -theta < approx[1]
+        assert abs(approx[1] + theta) <= bound[1]
+
+    def test_exact_sample_decides(self):
+        rep = check_external(self.PFS)
+        assert rep.verdict == REFUTED
+        assert rep.witness == {"kind": "negative-sample", "time": 1,
+                               "value": -2.000010000002e-12}
+        assert repr(rep) == repr(ref_check_external(self.PFS))
+
+
+class TestScanCost:
+    def test_order_eight_compound_of_sixteen_within_budget(self):
+        bank = PartialFractionSystem(tuple(zip(spread(16), even_poles(16))))
+        comp = compound_transfer(bank, 8)
+        tracemalloc.start()
+        try:
+            rep = check_external(comp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.verdict == CERTIFIED
+        # One 2 MiB block plus the exact lead and tail lists; all 64 samples
+        # of all 11 946 terms at once would take 6 MiB.
+        assert peak < 4 << 20
+
+
+class TestUnreachableModes:
+    # canonical drops the unreachable modes, leaving the term at 0.9.
+    @pytest.mark.parametrize("poles", [(0.9, 0.5), (0.9, 0.5, 0.2)])
+    def test_k_above_canonical_order_uses_total_characterization(
+            self, poles):
+        n = len(poles)
+        ss = StateSpace(np.diag(poles), [1.0] + [0.0] * (n - 1), [1.0] * n)
+        one_term = PartialFractionSystem(((1.0, 0.9),))
+        for k in range(2, n + 1):
+            rep = check_hankel_k(ss, k)
+            assert rep.verdict == CERTIFIED
+            assert repr(rep) == repr(check_hankel_k(one_term, k))
