@@ -21,16 +21,12 @@ from .positivity import (CERTIFIED, HOLDS, REFUTED, UNSUPPORTED,
                          check_toeplitz_k, check_toeplitz_total,
                          hankel_decompose, render_report, toeplitz_decompose)
 from .signals import forward_difference
-from .sysfile import load_system, serialize_system
+from .sysfile import format_float as _fmt, load_system, serialize_system
 from .totpos import DEFAULT_SEED
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 _VERDICT_EXIT = {CERTIFIED: 0, HOLDS: 3, REFUTED: 4, UNSUPPORTED: 5}
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def _parse_alphabet(text: str) -> tuple:

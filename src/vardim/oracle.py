@@ -168,30 +168,42 @@ def _lattice(alpha: tuple, length: int, zero_tol: float) -> tuple:
     return codes, su, fu, nonzero
 
 
+@functools.lru_cache(maxsize=8)
+def _lattice_candidates(alpha: tuple, length: int, zero_tol: float,
+                        k: int) -> tuple:
+    """The lattice inputs with at most k-1 sign changes and a nonzero
+    sample, in ``itertools.product`` order: read-only float inputs,
+    variations and leading signs, shared by every check with the same k."""
+    codes, su, fu, nonzero = _lattice(alpha, length, zero_tol)
+    rows = np.flatnonzero((su <= k - 1) & nonzero)
+    out = np.array(alpha)[codes[rows]], su[rows], fu[rows]
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
 def _candidate_blocks(extras: list, alpha: list, length: int, k: int,
                       samples: int, seed: int, zero_tol: float):
     """Blocks of candidate inputs in order: injected vectors, the lattice,
     then seeded uniform samples.  Each block holds only the inputs with at
     most k-1 sign changes and a nonzero sample, as (rows, variations,
-    leading signs, input of row j)."""
+    leading signs, inputs of a row-index array)."""
     for start in range(0, len(extras), OVD_BLOCK):
         chunk = extras[start:start + OVD_BLOCK]
         U = np.zeros((len(chunk), length))
         for i, u in enumerate(chunk):
             U[i, :len(u)] = u
         rows, su, fu = candidate_rows(U, k - 1, zero_tol)
-        yield U[rows], su, fu, lambda j, c=chunk, r=rows: c[r[j]]
-    codes, lsu, lfu, lnonzero = _lattice(tuple(alpha), length, zero_tol)
-    values = np.array(alpha)
-    for start in range(0, len(codes), OVD_BLOCK):
+        yield (U[rows], su, fu,
+               lambda js, c=chunk, r=rows: [c[i] for i in r[js]])
+    U, su, fu = _lattice_candidates(tuple(alpha), length, zero_tol, k)
+    for start in range(0, len(U), OVD_BLOCK):
         block = slice(start, start + OVD_BLOCK)
-        rows = start + np.flatnonzero((lsu[block] <= k - 1)
-                                      & lnonzero[block])
-        U = values[codes[rows]]
-        yield U, lsu[rows], lfu[rows], lambda j, U=U: tuple(U[j].tolist())
+        yield (U[block], su[block], fu[block],
+               lambda js, U=U[block]: list(map(tuple, U[js].tolist())))
     for U in sample_blocks(samples, seed, length):
         rows, su, fu = candidate_rows(U, k - 1, zero_tol)
-        yield U[rows], su, fu, lambda j, U=U[rows]: tuple(U[j])
+        yield U[rows], su, fu, lambda js, U=U[rows]: list(map(tuple, U[js]))
 
 
 def ovd_verify(sys, kind: str, k: int, input_length: int, output_length: int,
@@ -207,8 +219,13 @@ def ovd_verify(sys, kind: str, k: int, input_length: int, output_length: int,
     readings of the property can be distinguished.  Candidates run in
     deterministic order: injected vectors (at most ``input_length``
     samples each), the lattice, then seeded uniform samples.  They are
-    checked ``OVD_BLOCK`` at a time, one matrix product per block; the
-    lattice is built once per alphabet, length and tolerance.
+    checked ``OVD_BLOCK`` at a time, one matrix product per block.  The
+    lattice candidates of each k (inputs, variations, leading signs) are
+    cached read-only per alphabet, length and tolerance, so the lattice
+    runs as full blocks.  The violations of a block are built together:
+    their outputs come from one stacked product that applies the matrix
+    to each violating input as the per-vector product ``matrix @ u``
+    does, bit for bit.
     """
     if kind not in ("hankel", "toeplitz"):
         raise ValueError(f"unknown operator kind {kind!r}")
@@ -230,7 +247,7 @@ def ovd_verify(sys, kind: str, k: int, input_length: int, output_length: int,
 
     violations = []
     checked = 0
-    for U, su, fu, input_of in _candidate_blocks(
+    for U, su, fu, inputs_of in _candidate_blocks(
             extras, alpha, input_length, k, samples, seed, zero_tol):
         if not len(U):
             continue
@@ -249,13 +266,15 @@ def ovd_verify(sys, kind: str, k: int, input_length: int, output_length: int,
                 last = hits[need - 1]
             if last is not None:
                 hits = hits[hits <= last]
-        for j in hits:
-            u = input_of(j)
-            uv = np.zeros(input_length)
-            uv[:len(u)] = u
-            violations.append(OvdViolation(
-                "variation" if grew[j] else "order", u,
-                tuple(trunc.matrix @ uv), int(su[j]), int(sy[j])))
+        if hits.size:
+            # A stack of (L, 1) inputs: each product is the matrix-vector
+            # product of ``matrix @ u``, so the outputs keep its bits.
+            Y = trunc.matrix @ U[hits][:, :, None]
+            violations.extend(
+                OvdViolation("variation" if up else "order", u, tuple(y), a, b)
+                for up, u, y, a, b in zip(
+                    grew[hits].tolist(), inputs_of(hits), Y[:, :, 0],
+                    su[hits].tolist(), sy[hits].tolist()))
         if last is not None:
             checked += int(last) + 1
             break

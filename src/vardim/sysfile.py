@@ -108,12 +108,13 @@ def load_system(path: str):
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
-def _fmt(x: float) -> str:
+def format_float(x: float) -> str:
+    """The shortest text that reads back as the same float."""
     return repr(float(x))
 
 
 def _fmt_vec(vals) -> str:
-    return "[" + ", ".join(_fmt(v) for v in vals) + "]"
+    return "[" + ", ".join(format_float(v) for v in vals) + "]"
 
 
 def serialize_system(sys: Union[PartialFractionSystem,

@@ -313,7 +313,8 @@ def output_signs(X: np.ndarray, U: np.ndarray, eff_tol: float) -> tuple:
     bound = (2 * L * L * np.finfo(float).eps * np.abs(X).max(initial=1.0)
              * np.abs(U).max(initial=0.0) + np.finfo(float).tiny)
     lo, hi = abs(eff_tol) - bound, abs(eff_tol) + bound
-    near = ((Y >= lo) & (Y <= hi)) | ((Y >= -hi) & (Y <= -lo))
+    A = np.abs(Y)
+    near = (A >= lo) & (A <= hi)
     for r in np.flatnonzero(near.any(axis=1)):
         Y[r] = X @ np.array(U[r])
     return row_variations(Y, eff_tol)

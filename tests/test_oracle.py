@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from vardim.lti import (PartialFractionSystem, RationalTransferFunction,
 from vardim.oracle import (DEFAULT_SEED, DEMO_FUTURE_GROWTH,
                            DEMO_PAST_DIMINISH, DEMO_PAST_ORDER_FLIP,
                            ENUM_CAP, OvdReport, OvdViolation, _impulse_for,
-                           _lattice, apply_hankel, apply_nonlinearity,
+                           _lattice, _lattice_candidates, apply_hankel, apply_nonlinearity,
                            apply_toeplitz, demo_system, hankel_truncation,
                            heavy_ball, neuronal_condition, ovd_verify,
                            run_scenario, toeplitz_truncation)
@@ -92,6 +93,11 @@ def lag_cascade(n):
 
 SYSTEMS = [DEMO] + [build(n) for build in (lag_bank, lag_cascade)
                     for n in (2, 3, 4)]
+
+# A positive bank whose Toeplitz operator at k=3 violates on about 1 400
+# inputs of the 3^9 lattice, in every one of its five candidate blocks.
+POSITIVE_BANK3 = PartialFractionSystem(((0.7, 0.95), (0.4, 0.5), (0.9, 0.05)))
+LATTICE_ARGS = (POSITIVE_BANK3, "toeplitz", 3, 9, 10)
 
 
 class TestApplyHankel:
@@ -254,6 +260,55 @@ class TestOvdVerifyMatchesScalar:
                                                                    length])
             assert_same_report(ovd_verify(*args, **kw),
                                scalar_ovd_verify(*args, **kw))
+
+
+class TestOvdVerifyFullLattice:
+    def test_matches_scalar(self):
+        kw = dict(samples=64, seed=5, extra_inputs=[DEMO_FUTURE_GROWTH])
+        got = ovd_verify(*LATTICE_ARGS, **kw)
+        assert len(got.violations) > 1000
+        assert_same_report(got, scalar_ovd_verify(*LATTICE_ARGS, **kw))
+
+    def test_stop_at_in_first_middle_and_last_block(self):
+        full = ovd_verify(*LATTICE_ARGS)
+        U = _lattice_candidates((-1.0, 0.0, 1.0), 9, 1e-12, 3)[0]
+        where = {u: i for i, u in enumerate(map(tuple, U.tolist()))}
+        block = np.array([where[v.input] // OVD_BLOCK
+                          for v in full.violations])
+        blocks = -(-len(U) // OVD_BLOCK)
+        assert blocks == 5 and set(block.tolist()) == set(range(blocks))
+        for b in (0, blocks // 2, blocks - 1):
+            in_b = np.flatnonzero(block == b)
+            stop_at = int(in_b[len(in_b) // 2]) + 1
+            got = ovd_verify(*LATTICE_ARGS, stop_at=stop_at)
+            assert (got.inputs_checked - 1) // OVD_BLOCK == b
+            assert_same_report(got, scalar_ovd_verify(*LATTICE_ARGS,
+                                                      stop_at=stop_at))
+
+    def test_candidate_cache_is_read_only_and_shared(self):
+        key = ((-1.0, 0.0, 1.0), 9, 1e-12, 3)
+        first = _lattice_candidates(*key)
+        ovd_verify(*LATTICE_ARGS)
+        second = _lattice_candidates(*key)
+        for a, b in zip(first, second):
+            assert a is b
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    def test_candidate_cache_build_memory(self):
+        # About 0.75 MB of float inputs at k=3, plus the lattice it comes
+        # from; built from scratch, the peak stays under 2 MiB.
+        _lattice_candidates.cache_clear()
+        _lattice.cache_clear()
+        tracemalloc.start()
+        try:
+            U, su, fu = _lattice_candidates((-1.0, 0.0, 1.0), 9, 1e-12, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert U.shape == (len(su), 9) and U.nbytes > 700_000
+        assert peak < 2 << 20
 
 
 class TestNonlinearities:

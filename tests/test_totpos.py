@@ -49,6 +49,36 @@ def scalar_bruteforce(X, k, alphabet=(-1, 0, 1), require_order=True,
     return BruteForceVerdict(True, None, None, None, checked, rank)
 
 
+class RowLog(np.ndarray):
+    """An input block that logs the rows read one at a time, which are the
+    rows ``output_signs`` decides again through the per-vector product."""
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)) and hasattr(self, "read"):
+            self.read.append(int(key))
+        return super().__getitem__(key)
+
+
+def logged_rows(rows):
+    U = np.array(rows, dtype=float).view(RowLog)
+    U.read = []
+    return U
+
+
+def four_comparison_signs(X, U, eff_tol):
+    """``output_signs`` with its earlier guard band: four comparisons on
+    the signed outputs instead of two on their magnitudes."""
+    Y = U @ X.T
+    L = U.shape[1]
+    bound = (2 * L * L * np.finfo(float).eps * np.abs(X).max(initial=1.0)
+             * np.abs(U).max(initial=0.0) + np.finfo(float).tiny)
+    lo, hi = abs(eff_tol) - bound, abs(eff_tol) + bound
+    near = ((Y >= lo) & (Y <= hi)) | ((Y >= -hi) & (Y <= -lo))
+    for r in np.flatnonzero(near.any(axis=1)):
+        Y[r] = X @ np.array(U[r])
+    return row_variations(Y, eff_tol)
+
+
 class TestIndexTuples:
     def test_four_choose_three(self):
         tuples = [t.elements for t in enumerate_tuples(4, 3)]
@@ -297,6 +327,42 @@ class TestBruteForce:
                         "signs here")
         got = output_signs(X, U, tol)
         assert (got[0] == want[0]).all() and (got[1] == want[1]).all()
+
+    def test_guard_band_matches_four_comparisons(self):
+        # Outputs at exactly +-lo, +-hi and +-0.0, one ulp beside each, and
+        # NaN and +-inf: the |Y| band must re-decide the same rows as the
+        # four comparisons on signed outputs, with the same signs.
+        eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+        eff_tol = 1e-3
+        cases = []
+        for X, big in ((np.array([[1.0]]), [(1.0,)]),
+                       (np.array([[1.0, 1.0]]),
+                        [(1e308, 1e308), (-1e308, -1e308)])):
+            L = X.shape[1]
+            bound = (2 * L * L * eps * np.abs(X).max() * abs(big[0][0])
+                     + tiny)
+            lo, hi = eff_tol - bound, eff_tol + bound
+            edges = [s * v for v in (lo, hi, 0.0) for s in (1.0, -1.0)]
+            ys = edges + [np.nextafter(v, d) for v in edges
+                          for d in (-np.inf, np.inf)]
+            rows = big + [(y,) + (0.0,) * (L - 1) for y in ys]
+            beyond = ys.index(np.nextafter(hi, np.inf)) + len(big)
+            cases.append((X, rows, len(big), beyond))
+        X, rows = cases[0][:2]
+        cases += [(X, rows + [(np.nan,)], None, None),
+                  (X, rows + [(np.inf,), (-np.inf,)], None, None)]
+        for X, rows, first_edge, beyond in cases:
+            got_U, want_U = logged_rows(rows), logged_rows(rows)
+            with np.errstate(over="ignore"):
+                got = output_signs(X, got_U, eff_tol)
+                want = four_comparison_signs(X, want_U, eff_tol)
+            assert got_U.read == want_U.read
+            assert [a.tolist() for a in got] == [a.tolist() for a in want]
+            if first_edge is not None:
+                # +-lo and +-hi are in the band; one ulp beyond hi is not.
+                assert set(range(first_edge, first_edge + 4)) <= set(
+                    got_U.read)
+                assert beyond not in got_U.read
 
     def test_lattice_codes_follow_product_order(self):
         want = list(itertools.product(range(3), repeat=4))
