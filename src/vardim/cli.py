@@ -76,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="brute-force variation check")
     common(p, k=True, operator=True)
     p.add_argument("--input-length", type=int, default=6)
-    p.add_argument("--alphabet", type=_parse_alphabet, default=(-1, 0, 1))
+    p.add_argument("--alphabet", default="-1,0,1")
     p.add_argument("--samples", type=int, default=0)
     p.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED,
                    metavar="HEX")
@@ -210,8 +210,9 @@ def cmd_oracle(args) -> int:
     sys = load_system(args.system)
     if args.operator not in ("hankel", "toeplitz"):
         raise ParseError("oracle needs --operator hankel or toeplitz")
+    alphabet = _parse_alphabet(args.alphabet)
     report = ovd_verify(sys, args.operator, args.k, args.input_length,
-                        args.horizon, alphabet=args.alphabet,
+                        args.horizon, alphabet=alphabet,
                         samples=args.samples, seed=args.seed)
     lines = [f"operator: {args.operator}",
              f"k: {args.k}",
@@ -290,7 +291,8 @@ def main(argv=None) -> int:
         return EXIT_PARSE if exc.code not in (0,) else 0
     try:
         return _COMMANDS[args.command](args)
-    except ParseError as exc:
+    except (ParseError, ValueError) as exc:
+        # The library raises ValueError only on caller error.
         _sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
     except StructuralError as exc:

@@ -145,11 +145,11 @@ class RationalTransferFunction:
     def gain(self) -> float:
         return self.num[0]
 
-    @property
+    @cached_property
     def poles(self) -> tuple:
         return polynomial_roots(self.den)
 
-    @property
+    @cached_property
     def zeros(self) -> tuple:
         if len(self.num) == 1:
             return ()

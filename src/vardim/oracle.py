@@ -17,7 +17,7 @@ from .lti import (PartialFractionSystem, RationalTransferFunction,
                   impulse_response)
 from .positivity import (CERTIFIED, PositivityReport, check_toeplitz_total)
 from .signals import (Signal, first_nonzero_sign, forward_difference,
-                      row_variations, variation)
+                      variation)
 from .totpos import (DEFAULT_SEED, OVD_BLOCK, candidate_rows, lattice_codes,
                      output_signs, sample_blocks)
 
@@ -148,35 +148,21 @@ def _impulse_for(sys, kind: str, L: int, N: int) -> Signal:
 
 
 @functools.lru_cache(maxsize=8)
-def _lattice(alpha: tuple, length: int, zero_tol: float) -> tuple:
-    """The input lattice ``alpha**length`` in ``itertools.product`` order:
-    read-only digit codes, variations, leading signs and nonzero masks,
-    shared by every check on the same lattice."""
-    size = len(alpha) ** length
-    codes = lattice_codes(len(alpha), length, 0, size)
-    values = np.array(alpha)
-    su = np.empty(size, dtype=np.int8)
-    fu = np.empty(size, dtype=np.int8)
-    nonzero = np.empty(size, dtype=bool)
-    for start in range(0, size, OVD_BLOCK):
-        block = slice(start, start + OVD_BLOCK)
-        U = values[codes[block]]
-        su[block], fu[block] = row_variations(U, zero_tol)
-        nonzero[block] = (np.abs(U) > zero_tol).any(axis=1)
-    for arr in (codes, su, fu, nonzero):
-        arr.setflags(write=False)
-    return codes, su, fu, nonzero
-
-
-@functools.lru_cache(maxsize=8)
 def _lattice_candidates(alpha: tuple, length: int, zero_tol: float,
                         k: int) -> tuple:
     """The lattice inputs with at most k-1 sign changes and a nonzero
-    sample, in ``itertools.product`` order: read-only float inputs,
-    variations and leading signs, shared by every check with the same k."""
-    codes, su, fu, nonzero = _lattice(alpha, length, zero_tol)
-    rows = np.flatnonzero((su <= k - 1) & nonzero)
-    out = np.array(alpha)[codes[rows]], su[rows], fu[rows]
+    sample, in ``itertools.product`` order, filtered ``OVD_BLOCK`` points
+    at a time: read-only float inputs, variations and leading signs."""
+    size = len(alpha) ** length
+    values = np.array(alpha)
+    parts = []
+    # One block even for an empty lattice, so that the arrays keep shape.
+    for start in range(0, max(size, 1), OVD_BLOCK):
+        U = values[lattice_codes(len(alpha), length, start,
+                                 min(start + OVD_BLOCK, size))]
+        rows, su, fu = candidate_rows(U, k - 1, zero_tol)
+        parts.append((U[rows], su, fu))
+    out = tuple(np.concatenate(p) for p in zip(*parts))
     for arr in out:
         arr.setflags(write=False)
     return out
@@ -214,7 +200,7 @@ def ovd_verify(sys, kind: str, k: int, input_length: int, output_length: int,
     """Brute-force check that inputs with at most k-1 sign changes map to
     outputs with no more sign changes under the truncated operator.
 
-    When the variation is attained (and nonzero) the leading nonzero signs
+    When the variation is attained, 0 included, the leading nonzero signs
     must agree; order violations are recorded separately so the two
     readings of the property can be distinguished.  Candidates run in
     deterministic order: injected vectors (at most ``input_length``
@@ -229,6 +215,8 @@ def ovd_verify(sys, kind: str, k: int, input_length: int, output_length: int,
     """
     if kind not in ("hankel", "toeplitz"):
         raise ValueError(f"unknown operator kind {kind!r}")
+    if k < 1:
+        raise ValueError("k must be >= 1")
     alpha = sorted(set(float(a) for a in alphabet))
     if len(alpha) ** input_length > ENUM_CAP:
         raise BudgetExceededError(
@@ -253,8 +241,7 @@ def ovd_verify(sys, kind: str, k: int, input_length: int, output_length: int,
             continue
         sy, fy = output_signs(trunc.matrix, U, eff_tol)
         grew = sy > su
-        hits = np.flatnonzero(
-            grew | ((sy == su) & (su != 0) & (fy != 0) & (fy != fu)))
+        hits = np.flatnonzero(grew | ((sy == su) & (fy != 0) & (fy != fu)))
         # The scan stops right after the candidate that brings the
         # violation count to stop_at.
         last = None

@@ -149,6 +149,30 @@ class TestCliCommands:
                      "toeplitz", "--k", "2", "--input-length", "5",
                      "--horizon", "10"]) == 4
 
+    def test_oracle_order_one_refutes_negative_lag(self, tmp_path):
+        path = tmp_path / "neg.sys"
+        path.write_text("poles = [0.5]\nresidues = [-1.0]\n")
+        for operator in ("hankel", "toeplitz"):
+            assert main(["oracle", "--system", str(path), "--operator",
+                         operator, "--k", "1", "--input-length", "4"]) == 4
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--operator", "hankel", "--k", "0"],
+        ["compound", "--j", "0"],
+        ["impulse", "--horizon", "0"],
+        ["decompose", "--operator", "hankel", "--k", "0"],
+        ["decompose", "--operator", "hankel", "--k", "5"],
+        ["oracle", "--operator", "hankel", "--alphabet", "1,x"],
+        ["oracle", "--operator", "hankel", "--k", "0"],
+    ])
+    def test_usage_errors_exit_2(self, demo_file, tmp_path, capsys, argv):
+        out = ["--out", str(tmp_path / "dec.")] if argv[0] == "decompose" \
+            else []
+        assert main(argv + ["--system", demo_file] + out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not list(tmp_path.glob("dec.*"))
+
     def test_heavyball_exit_codes(self):
         assert main(["heavyball", "--a", "1", "--alpha", "1",
                      "--beta", "4"]) == 0

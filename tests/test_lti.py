@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from vardim import lti
 from vardim.errors import (DegenerateSystemError,
                            UnsupportedRepresentationError, WindowError)
 from vardim.lti import (PartialFractionSystem, RationalTransferFunction,
@@ -315,3 +316,14 @@ class TestZerosAndRationalForm:
         gb = impulse_response(rtf_to_state_space(rtf), 40)
         np.testing.assert_allclose(ga.to_array(), gb.to_array(),
                                    rtol=1e-9, atol=1e-12)
+
+    def test_roots_computed_once(self, monkeypatch):
+        calls = []
+        roots = lti.polynomial_roots
+        monkeypatch.setattr(lti, "polynomial_roots",
+                            lambda c: calls.append(c) or roots(c))
+        rtf = RationalTransferFunction((1.0, 0.4), (1.0, -1.5, 0.66, -0.08))
+        for _ in range(2):
+            assert rtf.poles == roots(rtf.den)
+            assert rtf.zeros == roots(rtf.num)
+        assert len(calls) == 2

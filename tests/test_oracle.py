@@ -10,11 +10,12 @@ from vardim.lti import (PartialFractionSystem, RationalTransferFunction,
 from vardim.oracle import (DEFAULT_SEED, DEMO_FUTURE_GROWTH,
                            DEMO_PAST_DIMINISH, DEMO_PAST_ORDER_FLIP,
                            ENUM_CAP, OvdReport, OvdViolation, _impulse_for,
-                           _lattice, _lattice_candidates, apply_hankel, apply_nonlinearity,
-                           apply_toeplitz, demo_system, hankel_truncation,
-                           heavy_ball, neuronal_condition, ovd_verify,
-                           run_scenario, toeplitz_truncation)
-from vardim.positivity import CERTIFIED, REFUTED, check_hankel_k
+                           _lattice_candidates, apply_hankel,
+                           apply_nonlinearity, apply_toeplitz, demo_system,
+                           hankel_truncation, heavy_ball, neuronal_condition,
+                           ovd_verify, run_scenario, toeplitz_truncation)
+from vardim.positivity import (CERTIFIED, REFUTED, check_hankel_k,
+                               check_toeplitz_k)
 from vardim.signals import (Signal, first_nonzero_sign, forward_difference,
                             variation)
 from vardim.totpos import OVD_BLOCK
@@ -62,7 +63,7 @@ def scalar_ovd_verify(sys, kind, k, input_length, output_length,
         sy = variation(y, eff_tol)
         if sy > su:
             violations.append(OvdViolation("variation", u, tuple(y), su, sy))
-        elif sy == su != 0:
+        elif sy == su:
             fy = first_nonzero_sign(y, eff_tol)
             if fy != 0 and fy != first_nonzero_sign(u, zero_tol):
                 violations.append(OvdViolation("order", u, tuple(y), su, sy))
@@ -91,8 +92,9 @@ def lag_cascade(n):
                                     tuple(np.poly(poles)))
 
 
-SYSTEMS = [DEMO] + [build(n) for build in (lag_bank, lag_cascade)
-                    for n in (2, 3, 4)]
+SYSTEMS = [DEMO, DEMO.scaled(-1.0)] + [build(n)
+                                      for build in (lag_bank, lag_cascade)
+                                      for n in (2, 3, 4)]
 
 # A positive bank whose Toeplitz operator at k=3 violates on about 1 400
 # inputs of the 3^9 lattice, in every one of its five candidate blocks.
@@ -213,12 +215,44 @@ class TestOvdVerify:
         assert_same_report(ovd_verify(DEMO, "hankel", 2, 4, 8, samples=-3),
                            ovd_verify(DEMO, "hankel", 2, 4, 8))
 
-    def test_cached_lattice_is_read_only(self):
-        ovd_verify(DEMO, "hankel", 2, 3, 5)
-        for arr in _lattice((-1.0, 0.0, 1.0), 3, 1e-12):
-            assert not arr.flags.writeable
+    def test_order_below_one_rejected(self):
+        for k in (0, -1):
             with pytest.raises(ValueError):
-                arr[0] = 0
+                ovd_verify(DEMO, "hankel", k, 4, 8)
+
+    def test_empty_alphabet_checks_extras_and_samples(self):
+        rep = ovd_verify(DEMO, "hankel", 2, 3, 5, alphabet=(), samples=5)
+        assert rep.passed and rep.inputs_checked == 3
+        U, su, fu = _lattice_candidates((), 3, 1e-12, 2)
+        assert U.shape == (0, 3) and su.shape == fu.shape == (0,)
+
+
+# Order 1 keeps the leading sign at a count of 0: a negative lag flips the
+# sign of every nonnegative input, so it is not externally positive.
+NEGATIVE_LAG = PartialFractionSystem(((-1.0, 0.5),))
+# The oracle systems of acceptance criterion 7.
+ORACLE_SYSTEMS = (DEMO, PartialFractionSystem(((1.0, 0.9), (1.0, 0.5),
+                                               (1.0, 0.1))),
+                  PartialFractionSystem(((2.25, 0.9), (-1.25, 0.5))))
+
+
+class TestOrderOne:
+    @pytest.mark.parametrize("kind", ["hankel", "toeplitz"])
+    def test_negative_lag_refuted(self, kind):
+        rep = ovd_verify(NEGATIVE_LAG, kind, 1, 4, 8)
+        assert not rep.passed
+        first = rep.counterexample
+        assert first.kind == "order"
+        assert first.input_variation == first.output_variation == 0
+
+    @pytest.mark.parametrize("system", range(len(ORACLE_SYSTEMS)))
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_refuted_checks_never_pass(self, system, sign):
+        sys = ORACLE_SYSTEMS[system].scaled(sign)
+        for kind, check in (("hankel", check_hankel_k),
+                            ("toeplitz", check_toeplitz_k)):
+            if check(sys, 1).verdict == REFUTED:
+                assert not ovd_verify(sys, kind, 1, 6, 12).passed, kind
 
 
 class TestOvdVerifyMatchesScalar:
@@ -297,10 +331,9 @@ class TestOvdVerifyFullLattice:
                 a[0] = 0
 
     def test_candidate_cache_build_memory(self):
-        # About 0.75 MB of float inputs at k=3, plus the lattice it comes
-        # from; built from scratch, the peak stays under 2 MiB.
+        # About 0.75 MB of float inputs at k=3, plus the blocks they are
+        # joined from; built from scratch, the peak stays under 2 MiB.
         _lattice_candidates.cache_clear()
-        _lattice.cache_clear()
         tracemalloc.start()
         try:
             U, su, fu = _lattice_candidates((-1.0, 0.0, 1.0), 9, 1e-12, 3)
