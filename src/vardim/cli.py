@@ -76,7 +76,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="brute-force variation check")
     common(p, k=True, operator=True)
     p.add_argument("--input-length", type=int, default=6)
-    p.add_argument("--alphabet", default="-1,0,1")
+    p.add_argument("--alphabet", default="-1,0,1", help="comma-separated "
+                   "input values; a leading '-' needs --alphabet=-1,1")
     p.add_argument("--samples", type=int, default=0)
     p.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED,
                    metavar="HEX")

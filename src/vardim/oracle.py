@@ -53,23 +53,30 @@ class OperatorTruncation:
         object.__setattr__(self, "matrix", m)
 
 
+def _samples(g: Signal, count: int, pad: int = 0) -> np.ndarray:
+    """``pad`` zeros, then g(0), ..., g(count - 1): one zero-padded copy."""
+    out = np.zeros(pad + count)
+    lo, hi = max(g.support_start, 0), min(g.support_end + 1, count)
+    if lo < hi:
+        out[pad + lo:pad + hi] = g.values[lo - g.support_start:
+                                          hi - g.support_start]
+    return out
+
+
 def hankel_truncation(g: Signal, input_length: int,
                       output_length: int) -> OperatorTruncation:
     """Maps the past stack (u(-1), ..., u(-L)) to outputs at t = 0..N-1."""
-    m = np.empty((output_length, input_length))
-    for t in range(output_length):
-        for tau in range(1, input_length + 1):
-            m[t, tau - 1] = g.value(t + tau)
+    t = np.arange(output_length)[:, None] + np.arange(1, input_length + 1)
+    m = _samples(g, output_length + input_length)[t]
     return OperatorTruncation("hankel", input_length, output_length, m)
 
 
 def toeplitz_truncation(g: Signal, input_length: int,
                         output_length: int) -> OperatorTruncation:
     """Maps inputs at t = 0..L-1 to outputs at t = 0..N-1 causally."""
-    m = np.zeros((output_length, input_length))
-    for t in range(output_length):
-        for tau in range(min(t + 1, input_length)):
-            m[t, tau] = g.value(t - tau)
+    # Entry (t, tau) is g(t - tau); the L leading zeros stand for t < tau.
+    t = np.arange(output_length)[:, None] - np.arange(input_length)
+    m = _samples(g, output_length, input_length)[t + input_length]
     return OperatorTruncation("toeplitz", input_length, output_length, m)
 
 
@@ -113,12 +120,69 @@ class OvdViolation:
     output_variation: int
 
 
+class _Violations(Sequence):
+    """The violations of an ``ovd_verify`` run, built from each block's
+    hits when read.  An item or a slice builds only what it returns;
+    iteration, ``==``, ``hash`` and ``repr`` build the whole tuple once,
+    keep it, and act as that tuple does."""
+
+    def __init__(self, matrix: np.ndarray, blocks: list):
+        self._matrix, self._blocks, self._all = matrix, blocks, None
+        self._starts = np.cumsum([0] + [len(b[0]) for b in blocks]).tolist()
+
+    def _build(self, lo: int, hi: int) -> tuple:
+        out = []
+        for start, (hits, grew, su, sy, U, inputs_of) in zip(self._starts,
+                                                             self._blocks):
+            js = hits[max(lo - start, 0):max(hi - start, 0)]
+            # A stack of (L, 1) inputs: each product is the matrix-vector
+            # product of ``matrix @ u``, so the outputs keep its bits.
+            Y = self._matrix @ U[js][:, :, None]
+            out.extend(
+                OvdViolation("variation" if up else "order", u, tuple(y), a, b)
+                for up, u, y, a, b in zip(
+                    grew[js].tolist(), inputs_of(js), Y[:, :, 0],
+                    su[js].tolist(), sy[js].tolist()))
+        return tuple(out)
+
+    def _tuple(self) -> tuple:
+        if self._all is None:
+            self._all = self._build(0, len(self))
+        return self._all
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def __getitem__(self, i):
+        r = range(len(self))[i]
+        if self._all is None and isinstance(r, int):
+            return self._build(r, r + 1)[0]
+        if self._all is None and r.step == 1:
+            return self._build(r.start, r.stop)
+        return self._tuple()[i]
+
+    def __iter__(self):
+        return iter(self._tuple())
+
+    def __eq__(self, other):
+        return self._tuple() == other
+
+    def __hash__(self) -> int:
+        return hash(self._tuple())
+
+    def __repr__(self) -> str:
+        return repr(self._tuple())
+
+    def __reduce__(self):
+        return tuple, (self._tuple(),)
+
+
 @dataclass(frozen=True)
 class OvdReport:
     """Outcome of the brute-force operator check."""
 
     passed: bool
-    violations: tuple
+    violations: Sequence
     inputs_checked: int
     rank: int
 
@@ -208,15 +272,15 @@ def ovd_verify(sys, kind: str, k: int, input_length: int, output_length: int,
     checked ``OVD_BLOCK`` at a time, one matrix product per block.  The
     lattice candidates of each k (inputs, variations, leading signs) are
     cached read-only per alphabet, length and tolerance, so the lattice
-    runs as full blocks.  The violations of a block are built together:
-    their outputs come from one stacked product that applies the matrix
-    to each violating input as the per-vector product ``matrix @ u``
-    does, bit for bit.
+    runs as full blocks.  Each block keeps its hits; the report builds
+    the violations from them only when they are read.
     """
     if kind not in ("hankel", "toeplitz"):
         raise ValueError(f"unknown operator kind {kind!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
+    if output_length < 1:
+        raise ValueError("output length must be >= 1")
     alpha = sorted(set(float(a) for a in alphabet))
     if len(alpha) ** input_length > ENUM_CAP:
         raise BudgetExceededError(
@@ -233,7 +297,7 @@ def ovd_verify(sys, kind: str, k: int, input_length: int, output_length: int,
     scale = float(np.abs(trunc.matrix).max(initial=1.0))
     eff_tol = zero_tol * scale
 
-    violations = []
+    blocks = []
     checked = 0
     for U, su, fu, inputs_of in _candidate_blocks(
             extras, alpha, input_length, k, samples, seed, zero_tol):
@@ -246,7 +310,7 @@ def ovd_verify(sys, kind: str, k: int, input_length: int, output_length: int,
         # violation count to stop_at.
         last = None
         if stop_at is not None:
-            need = stop_at - len(violations)
+            need = stop_at - sum(len(b[0]) for b in blocks)
             if need <= 0:
                 last = 0
             elif need <= hits.size:
@@ -254,19 +318,13 @@ def ovd_verify(sys, kind: str, k: int, input_length: int, output_length: int,
             if last is not None:
                 hits = hits[hits <= last]
         if hits.size:
-            # A stack of (L, 1) inputs: each product is the matrix-vector
-            # product of ``matrix @ u``, so the outputs keep its bits.
-            Y = trunc.matrix @ U[hits][:, :, None]
-            violations.extend(
-                OvdViolation("variation" if up else "order", u, tuple(y), a, b)
-                for up, u, y, a, b in zip(
-                    grew[hits].tolist(), inputs_of(hits), Y[:, :, 0],
-                    su[hits].tolist(), sy[hits].tolist()))
+            blocks.append((hits, grew, su, sy, U, inputs_of))
         if last is not None:
             checked += int(last) + 1
             break
         checked += len(U)
-    return OvdReport(not violations, tuple(violations), checked, rank)
+    return OvdReport(not blocks, _Violations(trunc.matrix, blocks), checked,
+                     rank)
 
 
 _BUILTIN_NONLINEARITIES = {

@@ -6,6 +6,7 @@ from vardim.lti import (PartialFractionSystem, RationalTransferFunction,
                         StateSpace, impulse_response)
 from vardim.sysfile import (load_system, parse_system, serialize_system)
 from vardim.errors import ParseError
+from vardim.oracle import ovd_verify
 
 DEMO_TEXT = """\
 # three-lag demo bank
@@ -156,6 +157,24 @@ class TestCliCommands:
             assert main(["oracle", "--system", str(path), "--operator",
                          operator, "--k", "1", "--input-length", "4"]) == 4
 
+    def test_oracle_alphabet_with_leading_minus(self, demo_file, capsys):
+        argv = ["oracle", "--system", demo_file, "--operator", "hankel",
+                "--k", "2", "--input-length", "5", "--horizon", "10"]
+        assert main(argv + ["--alphabet", "-1,1"]) == 2
+        capsys.readouterr()
+        code = main(argv + ["--alphabet=-1,1"])
+        out = capsys.readouterr().out.splitlines()
+        rep = ovd_verify(load_system(demo_file), "hankel", 2, 5, 10,
+                         alphabet=(-1.0, 1.0))
+        assert code == (0 if rep.passed else 4)
+        assert out[2:5] == [f"inputs-checked: {rep.inputs_checked}",
+                            f"rank: {rep.rank}",
+                            f"passed: {'yes' if rep.passed else 'no'}"]
+        assert len(out) == 5 + min(len(rep.violations), 8)
+        # Of the 2^5 inputs over -1,1, those with at most k-1 = 1 sign
+        # change: 2 with none and 8 with one.
+        assert rep.inputs_checked == 10
+
     @pytest.mark.parametrize("argv", [
         ["check", "--operator", "hankel", "--k", "0"],
         ["compound", "--j", "0"],
@@ -164,6 +183,7 @@ class TestCliCommands:
         ["decompose", "--operator", "hankel", "--k", "5"],
         ["oracle", "--operator", "hankel", "--alphabet", "1,x"],
         ["oracle", "--operator", "hankel", "--k", "0"],
+        ["oracle", "--operator", "hankel", "--horizon", "0"],
     ])
     def test_usage_errors_exit_2(self, demo_file, tmp_path, capsys, argv):
         out = ["--out", str(tmp_path / "dec.")] if argv[0] == "decompose" \

@@ -1,9 +1,12 @@
 import itertools
+import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from vardim import oracle
+from vardim.cli import main
 from vardim.errors import BudgetExceededError
 from vardim.lti import (PartialFractionSystem, RationalTransferFunction,
                         impulse_response)
@@ -18,6 +21,7 @@ from vardim.positivity import (CERTIFIED, REFUTED, check_hankel_k,
                                check_toeplitz_k)
 from vardim.signals import (Signal, first_nonzero_sign, forward_difference,
                             variation)
+from vardim.sysfile import serialize_system
 from vardim.totpos import OVD_BLOCK
 
 DEMO = demo_system()
@@ -139,6 +143,52 @@ class TestApplyHankel:
                 assert trunc.matrix[t, tau - 1] == g.value(t + tau)
 
 
+def loop_hankel(g, input_length, output_length):
+    """Reference: the Hankel truncation entry by entry through ``g.value``."""
+    m = np.empty((output_length, input_length))
+    for t in range(output_length):
+        for tau in range(1, input_length + 1):
+            m[t, tau - 1] = g.value(t + tau)
+    return m
+
+
+def loop_toeplitz(g, input_length, output_length):
+    """Reference: the Toeplitz truncation entry by entry through
+    ``g.value``; entries above the diagonal stay 0."""
+    m = np.zeros((output_length, input_length))
+    for t in range(output_length):
+        for tau in range(min(t + 1, input_length)):
+            m[t, tau] = g.value(t - tau)
+    return m
+
+
+TRUNCATION_SIGNALS = [
+    impulse_response(DEMO, 30),
+    Signal(0, ()),
+    Signal(3, ()),
+    Signal(2, (0.5, -0.0, -1.25, 3e-300)),   # support starts at t=2
+    Signal(-3, (7.0, -2.0, 0.25, -0.0, 1.5, -4.0)),   # also t < 0
+    Signal(0, (1.0, -0.5)),                  # an FIR shorter than a window
+    Signal(-1, (-1e308, 5e-324)),
+]
+
+
+class TestSlicedTruncations:
+    @pytest.mark.parametrize("signal", range(len(TRUNCATION_SIGNALS)))
+    @pytest.mark.parametrize("input_length,output_length", [
+        (0, 0), (0, 1), (1, 0), (1, 1), (9, 10), (10, 9), (3, 12)])
+    def test_bitwise_equal_to_loops(self, signal, input_length,
+                                    output_length):
+        g = TRUNCATION_SIGNALS[signal]
+        for build, loop in ((hankel_truncation, loop_hankel),
+                            (toeplitz_truncation, loop_toeplitz)):
+            got = build(g, input_length, output_length).matrix
+            want = loop(g, input_length, output_length)
+            assert got.shape == want.shape == (output_length, input_length)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), build.__name__
+
+
 class TestApplyToeplitz:
     def test_growth_demo_vector(self):
         g = impulse_response(DEMO, 16)
@@ -219,6 +269,14 @@ class TestOvdVerify:
         for k in (0, -1):
             with pytest.raises(ValueError):
                 ovd_verify(DEMO, "hankel", k, 4, 8)
+
+    def test_empty_output_window_rejected(self):
+        for kind in ("hankel", "toeplitz"):
+            for n in (0, -1):
+                with pytest.raises(ValueError):
+                    ovd_verify(DEMO, kind, 2, 4, n)
+            # An empty input window stays valid: it checks no input.
+            assert ovd_verify(DEMO, kind, 2, 0, 1).passed
 
     def test_empty_alphabet_checks_extras_and_samples(self):
         rep = ovd_verify(DEMO, "hankel", 2, 3, 5, alphabet=(), samples=5)
@@ -342,6 +400,97 @@ class TestOvdVerifyFullLattice:
             tracemalloc.stop()
         assert U.shape == (len(su), 9) and U.nbytes > 700_000
         assert peak < 2 << 20
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Counts the ``OvdViolation`` objects that ``ovd_verify`` reports
+    build from here on."""
+    count = [0]
+
+    def counting(*args):
+        count[0] += 1
+        return OvdViolation(*args)
+    monkeypatch.setattr(oracle, "OvdViolation", counting)
+    return count
+
+
+def assert_same_violations(got, want):
+    """Equal violation tuples, with inputs and outputs equal bit for bit."""
+    assert type(got) is tuple and got == want
+    assert_same_report(OvdReport(False, got, 0, 0),
+                       OvdReport(False, want, 0, 0))
+
+
+# 1 399 violations in six blocks: the injected input's and all five
+# lattice blocks' (none among the samples).
+LAZY_KW = dict(samples=64, seed=5, extra_inputs=[DEMO_FUTURE_GROWTH])
+
+
+class TestLazyViolations:
+    def test_counts_build_nothing(self, built):
+        rep = ovd_verify(*LATTICE_ARGS, **LAZY_KW)
+        assert not rep.passed and rep.inputs_checked > 0
+        assert len(rep.violations) > 1000 and rep.violations
+        passing = ovd_verify(lag_bank(3), "hankel", 3, 9, 10)
+        assert passing.passed and not passing.violations
+        assert len(passing.violations) == 0
+        assert passing.counterexample is None and built[0] == 0
+        assert rep.counterexample is not None and built[0] == 1
+
+    def test_items_and_slices_build_what_they_return(self, built):
+        want = scalar_ovd_verify(*LATTICE_ARGS, **LAZY_KW).violations
+        n = len(want)
+        # [:8] spans the extras block and the first lattice block, and
+        # [300:900] four lattice blocks.
+        for key in (slice(None, 8), slice(0, 0), slice(n - 3, None),
+                    slice(-5, -1), slice(300, 900), slice(n + 4, n + 9),
+                    slice(300, 250), slice(None, None, 97),
+                    slice(40, 10, -3)):
+            before = built[0]
+            got = ovd_verify(*LATTICE_ARGS, **LAZY_KW).violations[key]
+            assert_same_violations(got, want[key])
+            if key.step is None:
+                assert built[0] - before == len(want[key])
+        for i in (0, 1, n // 2, n - 1, -1, -n):
+            before = built[0]
+            got = ovd_verify(*LATTICE_ARGS, **LAZY_KW).violations[i]
+            assert_same_violations((got,), (want[i],))
+            assert built[0] - before == 1
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                ovd_verify(*LATTICE_ARGS, **LAZY_KW).violations[i]
+
+    def test_full_access_builds_once(self, built):
+        rep = ovd_verify(*LATTICE_ARGS, **LAZY_KW)
+        want = scalar_ovd_verify(*LATTICE_ARGS, **LAZY_KW)
+        assert_same_report(rep, want)
+        assert built[0] == len(want.violations)
+        assert repr(rep) == repr(want) and hash(rep) == hash(want)
+        assert rep.violations == want.violations == rep.violations
+        assert rep.violations != want.violations[1:]
+        assert rep.violations[3] is rep.violations[3]
+        assert_same_violations(tuple(rep.violations[-9:]),
+                               want.violations[-9:])
+        assert len(rep.order_violations) + len(rep.variation_violations) \
+            == len(want.violations)
+        assert built[0] == len(want.violations)
+
+    def test_pickles_as_a_tuple(self):
+        rep = ovd_verify(*LATTICE_ARGS, **LAZY_KW)
+        back = pickle.loads(pickle.dumps(rep))
+        assert type(back.violations) is tuple
+        assert_same_report(back, rep)
+
+    def test_cmd_oracle_builds_at_most_eight(self, built, tmp_path, capsys):
+        path = tmp_path / "bank.sys"
+        path.write_text(serialize_system(POSITIVE_BANK3))
+        assert main(["oracle", "--system", str(path), "--operator",
+                     "toeplitz", "--k", "3", "--input-length", "9",
+                     "--horizon", "10"]) == 4
+        out = capsys.readouterr().out
+        assert out.count("violation: ") == 8
+        assert built[0] == 8
 
 
 class TestNonlinearities:
