@@ -5,10 +5,12 @@ The checks use the partial-fraction form whenever the source has one and
 build a realization only for other sources; the minor sequence is a
 reference for tests.  The partial-fraction form is built as numpy array
 operations over all C(n, j) index tuples at once, rounding every product
-exactly as the scalar left-to-right loop does."""
+exactly as the scalar left-to-right loop does.  The index tuples of each
+(n, j) are built once and kept as a compact read-only table."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -21,6 +23,10 @@ from .totpos import compound_matrix
 
 # Pole products closer than this (relative) are merged into one term.
 MERGE_TOL = 1e-12
+# (n, j) index tables kept by ``index_tuples``: every key of a Toeplitz
+# ladder over n in {3, 6, 10, 12, 16} (43 keys), which would miss on every
+# lookup in a smaller LRU since each pass visits the keys in one order.
+INDEX_TABLES = 64
 
 
 def reversal_sign(j: int) -> int:
@@ -65,6 +71,19 @@ def compound_realization(ss: StateSpace, j: int) -> StateSpace:
     return StateSpace(A, b, c)
 
 
+@functools.lru_cache(maxsize=INDEX_TABLES)
+def index_tuples(n: int, j: int) -> np.ndarray:
+    """Read-only j x C(n, j) table whose column i is the i-th tuple of
+    ``itertools.combinations(range(n), j)``, in the smallest unsigned dtype
+    that holds n - 1; row c holds the c-th index of every tuple."""
+    m = math.comb(n, j)
+    table = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations(range(n), j)), dtype=np.min_scalar_type(n - 1),
+        count=m * j).reshape(m, j).T.copy()
+    table.setflags(write=False)
+    return table
+
+
 def compound_transfer(pfs: PartialFractionSystem,
                       j: int) -> PartialFractionSystem:
     """Partial-fraction form of the order-j compound of a simple-real-pole
@@ -73,31 +92,31 @@ def compound_transfer(pfs: PartialFractionSystem,
 
     Terms whose pole products coincide are merged by compensated summation.
     """
-    n = len(pfs.terms)
+    residues, poles = pfs.arrays
+    n = len(residues)
     if not pfs.fir.is_zero():
         raise ValueError("compound transfer needs a pure pole/residue form")
     if j == 1:
         return pfs
     if not 2 <= j <= n:
         raise ValueError(f"compound order j={j} out of range for n={n}")
-    m = math.comb(n, j)
-    # Row i holds the i-th index tuple in ``itertools.combinations`` order.
-    idx = np.fromiter(itertools.chain.from_iterable(
-        itertools.combinations(range(n), j)), dtype=np.intp,
-        count=m * j).reshape(m, j)
-    residues, poles = pfs.arrays
-    # Squared gaps rounded exactly as the scalar expression rounds them.
-    gaps = np.array([[(a - b) ** 2 for b in pfs.poles] for a in pfs.poles])
+    cols = index_tuples(n, j).astype(np.intp)
+    m = cols.shape[1]
+    # Squared gaps rounded exactly as the scalar expression rounds them,
+    # flat at a * n + b.
+    pl = poles.tolist()
+    gaps = np.array([(a - b) ** 2 for a in pl for b in pl])
     # One vector product per factor, in the order prod(r_v), then the gaps
     # of combinations(v, 2), so every product rounds as a left-to-right loop.
-    res = residues[idx[:, 0]]
-    pole = poles[idx[:, 0]]
-    for c in range(1, j):
-        res *= residues[idx[:, c]]
-        pole *= poles[idx[:, c]]
+    res = residues.take(cols[0])
+    pole = poles.take(cols[0])
+    for c in cols[1:]:
+        res *= residues.take(c)
+        pole *= poles.take(c)
+    rows = cols * n
     for a, b in itertools.combinations(range(j), 2):
-        res *= gaps[idx[:, a], idx[:, b]]
-    del idx
+        res *= gaps.take(rows[a] + cols[b])
+    del cols, rows
     order = np.argsort(pole, kind="stable")
     pole, res = pole[order], res[order]
     heads = _merge_heads(pole)

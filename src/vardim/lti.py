@@ -38,6 +38,27 @@ def _sorted_roots(roots) -> tuple:
     return tuple(sorted(roots, key=dominance_key))
 
 
+class _Terms:
+    """The ``terms`` field of ``PartialFractionSystem``.
+
+    The constructor's argument is held only until ``__post_init__`` turns
+    it into the canonical arrays.  Reading the field builds the tuple of
+    (residue, pole) pairs from those arrays on first access and caches it,
+    so a system that is only scanned never builds it.
+    """
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return ()  # the field's default
+        d = obj.__dict__
+        if "terms" not in d:
+            d["terms"] = tuple(zip(obj._r.tolist(), obj._p.tolist()))
+        return d["terms"]
+
+    def __set__(self, obj, value):
+        obj.__dict__["terms"] = value
+
+
 @dataclass(frozen=True)
 class PartialFractionSystem:
     """Sum of simple real first-order terms plus an optional direct FIR tail.
@@ -45,13 +66,18 @@ class PartialFractionSystem:
     ``terms`` holds (residue, pole) pairs; the impulse response is
     residue * pole**(t-1) for t >= 1 from each term, plus the FIR samples.
     Zero residues are dropped; an empty system is the zero system.
+
+    The state is the pair of read-only ``arrays`` (residues and poles in
+    dominance order).  ``terms`` is built from them when first read, and
+    equality, hashing, ``repr`` and pickling go through it, so they are
+    those of the tuple.
     """
 
-    terms: tuple = ()
+    terms: tuple = _Terms()
     fir: Signal = field(default_factory=Signal)
 
     def __post_init__(self):
-        terms = self.terms
+        terms = self.__dict__.pop("terms")
         if not isinstance(terms, (tuple, list, np.ndarray)):
             terms = tuple(terms)
         rp = np.array(terms, dtype=float)
@@ -71,13 +97,18 @@ class PartialFractionSystem:
             raise UnsupportedRepresentationError(
                 f"repeated pole {float(p[np.argmax(near)])}; use StateSpace "
                 f"for repeated poles")
-        for arr in (r, p):
-            arr.setflags(write=False)
-        object.__setattr__(self, "terms", tuple(zip(r.tolist(), p.tolist())))
-        object.__setattr__(self, "_r", r)
-        object.__setattr__(self, "_p", p)
+        self._set_arrays(r, p)
         if self.fir.support_start < 0:
             raise ValueError("FIR tail samples must sit at t >= 0")
+
+    def _set_arrays(self, r: np.ndarray, p: np.ndarray):
+        for arr in (r, p):
+            arr.setflags(write=False)
+        object.__setattr__(self, "_r", r)
+        object.__setattr__(self, "_p", p)
+
+    def __reduce__(self):
+        return PartialFractionSystem, (self.terms, self.fir)
 
     @property
     def arrays(self) -> tuple:
@@ -95,18 +126,27 @@ class PartialFractionSystem:
     @property
     def order(self) -> int:
         """State dimension of the canonical realization (FIR included)."""
-        return len(self.terms) + self._fir_span()
+        return len(self._r) + self._fir_span()
 
     def _fir_span(self) -> int:
         f = self.fir.trimmed()
         return 0 if len(f) == 0 else f.support_end
 
     def is_zero(self) -> bool:
-        return not self.terms and self.fir.is_zero()
+        return len(self._r) == 0 and self.fir.is_zero()
 
     def scaled(self, a: float) -> "PartialFractionSystem":
-        return PartialFractionSystem(np.column_stack((a * self._r, self._p)),
-                                     self.fir.scaled(a))
+        """``a`` times the system.  When every a * r is finite and nonzero
+        the sorted, separated poles are reused as they are; otherwise the
+        scaled pairs go through the constructor."""
+        r = a * self._r
+        fir = self.fir.scaled(a)
+        if not (np.isfinite(r).all() and r.all()):
+            return PartialFractionSystem(np.column_stack((r, self._p)), fir)
+        out = object.__new__(PartialFractionSystem)
+        object.__setattr__(out, "fir", fir)
+        out._set_arrays(r, self._p)
+        return out
 
 
 @dataclass(frozen=True)
@@ -239,7 +279,8 @@ def partial_fraction_samples(terms, fir: Signal, times) -> list:
     """Samples at ``times`` of the sum of r * p**(t-1) over (r, p) in
     ``terms`` plus the FIR tail, every term rounded once and every sum
     correctly rounded (``math.fsum``): the values ``impulse_response``
-    reports."""
+    reports.  ``terms`` is iterated once per time, so a call for a single
+    time may pass an iterator."""
     out = []
     for t in times:
         acc = [r * p ** (t - 1) for r, p in terms] if t >= 1 else []
@@ -319,7 +360,7 @@ def recombine(pfs: PartialFractionSystem) -> RationalTransferFunction:
     den = np.poly(poles) if poles else np.asarray([1.0])
     num = np.zeros(max(len(poles), 1))
     if poles:
-        for i, (r, _) in enumerate(pfs.terms):
+        for i, r in enumerate(pfs.residues):
             rest = np.poly(poles[:i] + poles[i + 1:]) if len(poles) > 1 \
                 else np.asarray([1.0])
             num = np.polyadd(num, r * rest)
@@ -466,11 +507,11 @@ def hankel_matrix(g: Signal, t: int, j: int) -> StructuredMatrixView:
     if j < 1:
         raise ValueError("order j must be >= 1")
     _require_window(g, t, t + 2 * j - 2, f"H(t={t}, j={j})")
-    entries = np.empty((j, j))
-    for a in range(j):
-        for b in range(j):
-            entries[a, b] = g.value(t + a + b)
-    return StructuredMatrixView("hankel", t, j, entries)
+    # g(t), ..., g(t+2j-2); row a is the slice from g(t+a).
+    i = t - g.support_start
+    s = g.values[i:i + 2 * j - 1]
+    return StructuredMatrixView("hankel", t, j,
+                                [s[a:a + j] for a in range(j)])
 
 
 def toeplitz_matrix(g: Signal, t: int, j: int) -> StructuredMatrixView:
@@ -479,10 +520,11 @@ def toeplitz_matrix(g: Signal, t: int, j: int) -> StructuredMatrixView:
         raise ValueError("Toeplitz windows start at t >= 0")
     if j < 1:
         raise ValueError("order j must be >= 1")
-    _require_window(g, max(0, t - j + 1), t + j - 1, f"T(t={t}, j={j})")
-    entries = np.empty((j, j))
-    for a in range(j):
-        for b in range(j):
-            tau = t + a - b
-            entries[a, b] = g.value(tau) if tau >= 0 else 0.0
-    return StructuredMatrixView("toeplitz", t, j, entries)
+    lo = max(0, t - j + 1)
+    _require_window(g, lo, t + j - 1, f"T(t={t}, j={j})")
+    # g(t+j-1) down to g(t-j+1), zero below t=0; row a is the slice from
+    # g(t+a).
+    i = lo - g.support_start
+    s = g.values[i:i + t + j - lo][::-1] + (0.0,) * (lo - (t - j + 1))
+    return StructuredMatrixView("toeplitz", t, j,
+                                [s[j - 1 - a:2 * j - 1 - a] for a in range(j)])

@@ -253,7 +253,8 @@ def _candidate_blocks(extras: list, alpha: list, length: int, k: int,
                lambda js, U=U[block]: list(map(tuple, U[js].tolist())))
     for U in sample_blocks(samples, seed, length):
         rows, su, fu = candidate_rows(U, k - 1, zero_tol)
-        yield U[rows], su, fu, lambda js, U=U[rows]: list(map(tuple, U[js]))
+        yield (U[rows], su, fu,
+               lambda js, U=U[rows]: list(map(tuple, U[js].tolist())))
 
 
 def ovd_verify(sys, kind: str, k: int, input_length: int, output_length: int,

@@ -157,21 +157,26 @@ class _SampleScan:
         self.next = 0
         self._exact = {}
 
+    @cached_property
+    def _lists(self) -> tuple:
+        return self.r.tolist(), self.p.tolist()
+
     def sample(self, t: int) -> float:
         if t not in self._exact:
             self._exact[t] = partial_fraction_samples(
-                self.pfs.terms, self.pfs.fir, (t,))[0]
+                zip(*self._lists), self.pfs.fir, (t,))[0]
         return self._exact[t]
 
     @cached_property
     def _magnitudes(self) -> tuple:
-        return tuple(zip(np.abs(self.r[1:]).tolist(),
-                         np.abs(self.p[1:]).tolist()))
+        return np.abs(self.r[1:]).tolist(), np.abs(self.p[1:]).tolist()
 
     def lead_tail(self, t: int) -> tuple:
         """Leading term and the sum of the other terms' magnitudes at t."""
-        lead = partial_fraction_samples(self.pfs.terms[:1], Signal(), (t,))
-        tail = partial_fraction_samples(self._magnitudes, Signal(), (t,))
+        lead = partial_fraction_samples(
+            zip(self.r[:1].tolist(), self.p[:1].tolist()), Signal(), (t,))
+        tail = partial_fraction_samples(zip(*self._magnitudes), Signal(),
+                                        (t,))
         return lead[0], tail[0]
 
     def dominates(self, t: int) -> bool:
@@ -294,9 +299,9 @@ def check_external(sys, horizon: int = DEFAULT_HORIZON,
     fir = pfs.fir.trimmed()
     fir_end = fir.support_end if len(fir) else 0
     dominance_from = None
-    if pfs.terms:
-        r1, p1 = pfs.terms[0]
-        poles = pfs.arrays[1]
+    residues, poles = pfs.arrays
+    if len(residues):
+        r1, p1 = float(residues[0]), float(poles[0])
         if r1 > 0 and p1 > 0 and bool(np.all(
                 p1 - np.abs(poles[1:]) > DOMINANCE_MARGIN * max(1.0, p1))):
             dominance_from = max(1, fir_end + 1)
@@ -313,7 +318,7 @@ def check_external(sys, horizon: int = DEFAULT_HORIZON,
             EXTERNAL, 1, CERTIFIED, horizon, t0=t0,
             certificate="impulse response identically zero")
 
-    if not pfs.terms:
+    if not len(residues):
         # Pure FIR tail: the sampled window covers the whole support.
         return PositivityReport(
             EXTERNAL, 1, CERTIFIED, horizon, t0=t0,
@@ -362,7 +367,7 @@ def check_external(sys, horizon: int = DEFAULT_HORIZON,
 def _real_zero_at_or_above(pfs: PartialFractionSystem,
                            p1: float) -> Optional[float]:
     # Root extraction is only trusted at desk-scale degrees.
-    if not 2 <= len(pfs.terms) <= 12 or not pfs.fir.is_zero():
+    if not 2 <= len(pfs.arrays[0]) <= 12 or not pfs.fir.is_zero():
         return None
     rtf = recombine(pfs)
     scale = max(1.0, abs(p1))

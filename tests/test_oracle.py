@@ -50,7 +50,8 @@ def scalar_ovd_verify(sys, kind, k, input_length, output_length,
         if samples:
             rng = np.random.default_rng(seed)
             for _ in range(samples):
-                yield tuple(rng.uniform(-1.0, 1.0, size=input_length))
+                yield tuple(rng.uniform(-1.0, 1.0,
+                                        size=input_length).tolist())
 
     violations = []
     checked = 0
