@@ -52,7 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="system-definition file")
         p.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
         p.add_argument("--out", metavar="PATH", default=None)
-        p.add_argument("--format", choices=("text", "csv"), default="text")
         if operator:
             p.add_argument("--operator", choices=(
                 "hankel", "toeplitz", "external", "hankel-total",
@@ -65,6 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="positivity verdict with certificate")
     common(p, k=True, operator=True)
+    p.add_argument("--format", choices=("text", "csv"), default="text")
 
     p = sub.add_parser("compound", help="compound system of a given order")
     common(p)
@@ -190,8 +190,7 @@ def cmd_decompose(args) -> int:
     remainder = dec.remainder
     if dec.mode == "toeplitz-multiplicative" and not remainder.fir.is_zero():
         remainder = recombine(remainder)
-    _write(serialize_system(remainder) if not _is_zero(remainder)
-           else "poles = []\nresidues = []\n", rem_path)
+    _write(serialize_system(remainder), rem_path)
     report = [f"mode: {dec.mode}",
               f"dominant: {dom_path}",
               f"remainder: {rem_path}"]
@@ -201,10 +200,6 @@ def cmd_decompose(args) -> int:
         report.append(f"note: {dec.note}")
     _sys.stdout.write("\n".join(report) + "\n")
     return EXIT_OK
-
-
-def _is_zero(sys) -> bool:
-    return isinstance(sys, PartialFractionSystem) and sys.is_zero()
 
 
 def cmd_oracle(args) -> int:

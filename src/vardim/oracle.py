@@ -16,8 +16,8 @@ from .errors import BudgetExceededError
 from .lti import (PartialFractionSystem, RationalTransferFunction,
                   impulse_response)
 from .positivity import (CERTIFIED, PositivityReport, check_toeplitz_total)
-from .signals import (Signal, first_nonzero_sign, forward_difference,
-                      variation)
+from .signals import (ZERO_TOL, Signal, first_nonzero_sign,
+                      forward_difference, variation)
 from .totpos import (DEFAULT_SEED, OVD_BLOCK, candidate_rows, lattice_codes,
                      output_signs, sample_blocks)
 
@@ -233,7 +233,7 @@ def _lattice_candidates(alpha: tuple, length: int, zero_tol: float,
 
 
 def _candidate_blocks(extras: list, alpha: list, length: int, k: int,
-                      samples: int, seed: int, zero_tol: float):
+                      samples: int, seed: int):
     """Blocks of candidate inputs in order: injected vectors, the lattice,
     then seeded uniform samples.  Each block holds only the inputs with at
     most k-1 sign changes and a nonzero sample, as (rows, variations,
@@ -243,16 +243,16 @@ def _candidate_blocks(extras: list, alpha: list, length: int, k: int,
         U = np.zeros((len(chunk), length))
         for i, u in enumerate(chunk):
             U[i, :len(u)] = u
-        rows, su, fu = candidate_rows(U, k - 1, zero_tol)
+        rows, su, fu = candidate_rows(U, k - 1, ZERO_TOL)
         yield (U[rows], su, fu,
                lambda js, c=chunk, r=rows: [c[i] for i in r[js]])
-    U, su, fu = _lattice_candidates(tuple(alpha), length, zero_tol, k)
+    U, su, fu = _lattice_candidates(tuple(alpha), length, ZERO_TOL, k)
     for start in range(0, len(U), OVD_BLOCK):
         block = slice(start, start + OVD_BLOCK)
         yield (U[block], su[block], fu[block],
                lambda js, U=U[block]: list(map(tuple, U[js].tolist())))
     for U in sample_blocks(samples, seed, length):
-        rows, su, fu = candidate_rows(U, k - 1, zero_tol)
+        rows, su, fu = candidate_rows(U, k - 1, ZERO_TOL)
         yield (U[rows], su, fu,
                lambda js, U=U[rows]: list(map(tuple, U[js].tolist())))
 
@@ -260,7 +260,6 @@ def _candidate_blocks(extras: list, alpha: list, length: int, k: int,
 def ovd_verify(sys, kind: str, k: int, input_length: int, output_length: int,
                alphabet: Sequence[float] = (-1, 0, 1), samples: int = 0,
                seed: int = DEFAULT_SEED, extra_inputs: Sequence = (),
-               zero_tol: float = 1e-12,
                stop_at: Optional[int] = None) -> OvdReport:
     """Brute-force check that inputs with at most k-1 sign changes map to
     outputs with no more sign changes under the truncated operator.
@@ -272,9 +271,9 @@ def ovd_verify(sys, kind: str, k: int, input_length: int, output_length: int,
     samples each), the lattice, then seeded uniform samples.  They are
     checked ``OVD_BLOCK`` at a time, one matrix product per block.  The
     lattice candidates of each k (inputs, variations, leading signs) are
-    cached read-only per alphabet, length and tolerance, so the lattice
-    runs as full blocks.  Each block keeps its hits; the report builds
-    the violations from them only when they are read.
+    cached read-only per alphabet and length, so the lattice runs as
+    full blocks.  Each block keeps its hits; the report builds the
+    violations from them only when they are read.
     """
     if kind not in ("hankel", "toeplitz"):
         raise ValueError(f"unknown operator kind {kind!r}")
@@ -296,12 +295,12 @@ def ovd_verify(sys, kind: str, k: int, input_length: int, output_length: int,
     trunc = build(g, input_length, output_length)
     rank = int(np.linalg.matrix_rank(trunc.matrix))
     scale = float(np.abs(trunc.matrix).max(initial=1.0))
-    eff_tol = zero_tol * scale
+    eff_tol = ZERO_TOL * scale
 
     blocks = []
     checked = 0
     for U, su, fu, inputs_of in _candidate_blocks(
-            extras, alpha, input_length, k, samples, seed, zero_tol):
+            extras, alpha, input_length, k, samples, seed):
         if not len(U):
             continue
         sy, fy = output_signs(trunc.matrix, U, eff_tol)
@@ -338,8 +337,7 @@ _BUILTIN_NONLINEARITIES = {
 
 def apply_nonlinearity(y: Signal, kind: str = "relay",
                        table: Optional[Sequence] = None,
-                       declared: Optional[str] = None,
-                       zero_tol: float = 1e-12) -> Signal:
+                       declared: Optional[str] = None) -> Signal:
     """Samplewise static nonlinearity with its declared class enforced.
 
     Sign-preserving maps keep the variation unchanged; monotone
@@ -369,14 +367,14 @@ def apply_nonlinearity(y: Signal, kind: str = "relay",
     out = Signal(y.support_start, tuple(fn(v) for v in y.values))
     if cls == "sign-preserving":
         for v, w in zip(y.values, out.values):
-            if np.sign(v) != np.sign(w) and abs(v) > zero_tol:
+            if np.sign(v) != np.sign(w) and abs(v) > ZERO_TOL:
                 raise ValueError("table is not sign-preserving at "
                                  f"input {v}")
-        if variation(out, zero_tol) != variation(y, zero_tol):
+        if variation(out) != variation(y):
             raise ValueError("sign-preserving map changed the variation")
     else:
-        dv = variation(forward_difference(y), zero_tol)
-        dw = variation(forward_difference(out), zero_tol)
+        dv = variation(forward_difference(y))
+        dw = variation(forward_difference(out))
         if dv != dw:
             raise ValueError("monotone map changed the local extrema count")
     return out
@@ -404,8 +402,8 @@ SCENARIOS = {
 
 
 def run_scenario(name: str, horizon: int = 8,
-                 system: Optional[PartialFractionSystem] = None,
-                 zero_tol: float = 1e-12) -> ScenarioResult:
+                 system: Optional[PartialFractionSystem] = None
+                 ) -> ScenarioResult:
     """Run one of the named demo scenarios on the three-lag demo system."""
     try:
         kind, vec = SCENARIOS[name]
@@ -418,13 +416,12 @@ def run_scenario(name: str, horizon: int = 8,
         y = apply_hankel(g, vec, horizon)
     else:
         y = apply_toeplitz(g, vec, horizon)
-    su = variation(vec, zero_tol)
-    sy = variation(y, zero_tol * max(1.0, float(np.max(np.abs(
+    su = variation(vec)
+    sy = variation(y, ZERO_TOL * max(1.0, float(np.max(np.abs(
         y.to_array())))))
     order = None
     if sy == su != 0:
-        order = first_nonzero_sign(vec, zero_tol) == first_nonzero_sign(
-            y, zero_tol)
+        order = first_nonzero_sign(vec) == first_nonzero_sign(y)
     text = (f"{kind} response: input variation {su} -> output variation "
             f"{sy}")
     if order is not None:

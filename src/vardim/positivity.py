@@ -19,7 +19,7 @@ import numpy as np
 
 from .compound import compound_realization, compound_transfer, reversal_sign
 from .errors import StructuralError, UnsupportedRepresentationError
-from .lti import (DEFAULT_HORIZON, PartialFractionSystem,
+from .lti import (DEFAULT_HORIZON, REAL_SNAP_TOL, PartialFractionSystem,
                   RationalTransferFunction, StateSpace, canonical,
                   dominance_key, hankel_matrix, impulse_response,
                   partial_fraction_samples, recombine, to_state_space,
@@ -36,6 +36,11 @@ UNSUPPORTED = "unsupported"
 # geometric tail certificate is issued.
 DOMINANCE_MARGIN = 1e-9
 SAMPLE_TOL = 1e-12
+# Relative slack of the alternating-difference face of ``check_relaxation``.
+RELAXATION_TOL = 1e-9
+# Relative gap below which ``repeated_pole_check`` merges two eigenvalues
+# into one pole cluster.
+POLE_CLUSTER_TOL = 1e-8
 # How far the sampler is willing to extend past the horizon to pin a
 # concrete negative sample for structurally refuted systems.
 WITNESS_SEARCH_CAP = 1 << 18
@@ -281,8 +286,7 @@ def _witness_horizon(pfs: PartialFractionSystem, start: int,
     return last
 
 
-def check_external(sys, horizon: int = DEFAULT_HORIZON,
-                   tol: float = SAMPLE_TOL) -> PositivityReport:
+def check_external(sys, horizon: int = DEFAULT_HORIZON) -> PositivityReport:
     """Three-tier external positivity check.
 
     A partial-fraction system with a strictly dominant simple real pole and
@@ -293,8 +297,8 @@ def check_external(sys, horizon: int = DEFAULT_HORIZON,
     """
     pfs = canonical(sys)
     if not isinstance(pfs, PartialFractionSystem):
-        return _check_external_sampled(sys, horizon, tol)
-    theta = tol * _sample_scale(pfs) if not pfs.is_zero() else tol
+        return _check_external_sampled(sys, horizon)
+    theta = SAMPLE_TOL * (_sample_scale(pfs) if not pfs.is_zero() else 1.0)
     need = max(horizon, pfs.fir.support_end + 1 if len(pfs.fir) else 1)
     fir = pfs.fir.trimmed()
     fir_end = fir.support_end if len(fir) else 0
@@ -358,10 +362,7 @@ def check_external(sys, horizon: int = DEFAULT_HORIZON,
             certificate=(f"tail dominance from t={t_star}: "
                          f"{_fmt(lead)} > {_fmt(tail)} and samples "
                          f"nonnegative up to t={t_star}"))
-    return PositivityReport(
-        EXTERNAL, 1, HOLDS, horizon, t0=t0,
-        certificate=None,
-        witness=None)
+    return PositivityReport(EXTERNAL, 1, HOLDS, horizon, t0=t0)
 
 
 def _real_zero_at_or_above(pfs: PartialFractionSystem,
@@ -377,10 +378,10 @@ def _real_zero_at_or_above(pfs: PartialFractionSystem,
     return None
 
 
-def _check_external_sampled(sys, horizon: int, tol: float) -> PositivityReport:
+def _check_external_sampled(sys, horizon: int) -> PositivityReport:
     g = impulse_response(sys, horizon)
     arr = g.to_array()
-    theta = tol * max(1.0, float(np.max(np.abs(arr))))
+    theta = SAMPLE_TOL * max(1.0, float(np.max(np.abs(arr))))
     t0 = _first_nonzero_time(g, theta)
     for t in range(horizon + 1):
         if g.value(t) < -theta:
@@ -388,9 +389,7 @@ def _check_external_sampled(sys, horizon: int, tol: float) -> PositivityReport:
                 EXTERNAL, 1, REFUTED, horizon, t0=t0,
                 witness={"kind": "negative-sample", "time": t,
                          "value": g.value(t)})
-    return PositivityReport(
-        EXTERNAL, 1, HOLDS, horizon, t0=t0,
-        certificate=None)
+    return PositivityReport(EXTERNAL, 1, HOLDS, horizon, t0=t0)
 
 
 def _compound(form, j: int):
@@ -403,8 +402,8 @@ def _compound(form, j: int):
     return compound_realization(form, j)
 
 
-def check_hankel_k(sys, k: int, horizon: int = DEFAULT_HORIZON,
-                   tol: float = SAMPLE_TOL) -> PositivityReport:
+def check_hankel_k(sys, k: int,
+                   horizon: int = DEFAULT_HORIZON) -> PositivityReport:
     """Order-k check for the past-to-future operator.
 
     Applies the finite reduction: the order-(k-1) windows at offsets 1 and
@@ -422,7 +421,7 @@ def check_hankel_k(sys, k: int, horizon: int = DEFAULT_HORIZON,
 
     need = max(horizon, 2 * k + 2)
     g = impulse_response(sys, need)
-    t0 = _first_nonzero_time(g, tol * max(1.0, float(np.max(np.abs(
+    t0 = _first_nonzero_time(g, SAMPLE_TOL * max(1.0, float(np.max(np.abs(
         g.to_array())))))
     details = []
     if k >= 2:
@@ -439,7 +438,7 @@ def check_hankel_k(sys, k: int, horizon: int = DEFAULT_HORIZON,
                 witness={"kind": "window-not-positive-semidefinite",
                          "offset": 2, "order": k - 1})
 
-    sub = check_external(_compound(form, k), horizon, tol)
+    sub = check_external(_compound(form, k), horizon)
     details.append(sub)
     witness = dict(sub.witness) if sub.witness else None
     if witness is not None:
@@ -453,8 +452,8 @@ def check_hankel_k(sys, k: int, horizon: int = DEFAULT_HORIZON,
                             t0=t0, details=tuple(details))
 
 
-def check_toeplitz_k(sys, k: int, horizon: int = DEFAULT_HORIZON,
-                     tol: float = SAMPLE_TOL) -> PositivityReport:
+def check_toeplitz_k(sys, k: int,
+                     horizon: int = DEFAULT_HORIZON) -> PositivityReport:
     """Order-k check for the causal convolution operator.
 
     Requires the (k-1)-th largest pole to be nonzero (otherwise the finite
@@ -469,17 +468,11 @@ def check_toeplitz_k(sys, k: int, horizon: int = DEFAULT_HORIZON,
     if k >= 2:
         idx = k - 1
         if idx > len(poles) or abs(poles[idx - 1]) <= SAMPLE_TOL:
-            return PositivityReport(
-                TOEPLITZ_K, k, UNSUPPORTED, horizon,
-                certificate=None,
-                witness=None,
-                t0=None,
-                details=(),
-            )
+            return PositivityReport(TOEPLITZ_K, k, UNSUPPORTED, horizon)
 
     need = max(horizon, 4 * k + 4)
     g = impulse_response(form, need)
-    theta = tol * max(1.0, float(np.max(np.abs(g.to_array()))))
+    theta = SAMPLE_TOL * max(1.0, float(np.max(np.abs(g.to_array()))))
     t0 = _first_nonzero_time(g, theta)
     if t0 is None:
         return PositivityReport(TOEPLITZ_K, k, CERTIFIED, horizon, t0=None,
@@ -490,7 +483,7 @@ def check_toeplitz_k(sys, k: int, horizon: int = DEFAULT_HORIZON,
     witness = None
     verdicts = []
     for j in range(1, k + 1):
-        sub = _compound_external(form, j, horizon, tol, reversal_sign(j))
+        sub = _compound_external(form, j, horizon, reversal_sign(j))
         details.append(sub)
         verdicts.append(sub.verdict)
         if sub.verdict == REFUTED and witness is None:
@@ -537,7 +530,7 @@ def _pole_magnitudes(form) -> tuple:
     return tuple(sorted((complex(v) for v in lam), key=dominance_key))
 
 
-def _compound_external(form, j: int, horizon: int, tol: float,
+def _compound_external(form, j: int, horizon: int,
                        sign: int) -> PositivityReport:
     """External positivity of ``sign`` times the order-j compound of a
     canonical form; above the form's order the compound is zero."""
@@ -547,10 +540,10 @@ def _compound_external(form, j: int, horizon: int, tol: float,
             certificate=f"compound order {j} above system order: zero")
     comp = _compound(form, j)
     if sign == 1:
-        return check_external(comp, horizon, tol)
+        return check_external(comp, horizon)
     if isinstance(comp, PartialFractionSystem):
-        return check_external(comp.scaled(float(sign)), horizon, tol)
-    return check_external(replace(comp, c=sign * comp.c), horizon, tol)
+        return check_external(comp.scaled(float(sign)), horizon)
+    return check_external(replace(comp, c=sign * comp.c), horizon)
 
 
 class CoefficientCheck(NamedTuple):
@@ -559,8 +552,8 @@ class CoefficientCheck(NamedTuple):
     reason: Optional[str]
 
 
-def necessary_coefficients(sys, k: int, operator: str = "hankel",
-                           tol: float = SAMPLE_TOL) -> CoefficientCheck:
+def necessary_coefficients(sys, k: int,
+                           operator: str = "hankel") -> CoefficientCheck:
     """Necessary residue/pole sign pattern for order-k positivity.
 
     Hankel: the first min(k, n) residues are positive with nonnegative
@@ -574,7 +567,7 @@ def necessary_coefficients(sys, k: int, operator: str = "hankel",
     m = min(k, len(pfs.terms))
     for i in range(1, m + 1):
         r, p = pfs.terms[i - 1]
-        if p < -tol:
+        if p < -SAMPLE_TOL:
             return CoefficientCheck(False, i, f"pole {p} negative")
         if operator == "hankel":
             if r <= 0:
@@ -601,8 +594,7 @@ class RelaxationBundle(NamedTuple):
 
 
 def check_relaxation(pfs: PartialFractionSystem, J: int = 6,
-                     horizon: int = 40,
-                     tol: float = 1e-9) -> RelaxationBundle:
+                     horizon: int = 40) -> RelaxationBundle:
     """Three equivalent faces of complete monotonicity.
 
     (a) all residues and poles nonnegative; (b) the order-n windows at
@@ -631,7 +623,7 @@ def check_relaxation(pfs: PartialFractionSystem, J: int = 6,
         d = tail if j == 0 else forward_difference(tail, j)
         vals = [((-1) ** j) * v for v in d.values]
         scale = max(max(abs(v) for v in vals), 1e-300) if vals else 1.0
-        if any(v < -tol * scale for v in vals):
+        if any(v < -RELAXATION_TOL * scale for v in vals):
             alternating = False
             break
     return RelaxationBundle(coeff, definite, alternating)
@@ -866,8 +858,7 @@ class RepeatedPoleCheck(NamedTuple):
     multiplicities: tuple
 
 
-def repeated_pole_check(ss: StateSpace, k: int,
-                        tol: float = 1e-8) -> RepeatedPoleCheck:
+def repeated_pole_check(ss: StateSpace, k: int) -> RepeatedPoleCheck:
     """Necessary multiplicity pattern for order-k positivity of the
     past-to-future operator: the k-1 dominant pole clusters are simple and
     the (k-1)-th is positive; at k = n all poles must be simple."""
@@ -875,7 +866,8 @@ def repeated_pole_check(ss: StateSpace, k: int,
     lam.sort(key=dominance_key)
     clusters = []
     for v in lam:
-        if clusters and abs(v - clusters[-1][0]) <= tol * (1.0 + abs(v)):
+        if clusters and abs(v - clusters[-1][0]) <= POLE_CLUSTER_TOL * (
+                1.0 + abs(v)):
             clusters[-1][1] += 1
         else:
             clusters.append([v, 1])
@@ -892,7 +884,7 @@ def repeated_pole_check(ss: StateSpace, k: int,
             return RepeatedPoleCheck(False, "fewer distinct poles than k-1",
                                      mults)
         p = clusters[k - 2][0]
-        if abs(p.imag) > tol * (1.0 + abs(p)) or p.real <= 0:
+        if abs(p.imag) > REAL_SNAP_TOL * (1.0 + abs(p)) or p.real <= 0:
             return RepeatedPoleCheck(
                 False, f"pole {p} at rank {k - 1} is not real positive",
                 mults)

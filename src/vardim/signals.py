@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,10 +31,6 @@ class Signal:
             raise ValueError("signal samples must be finite")
         object.__setattr__(self, "values", vals)
 
-    @classmethod
-    def from_values(cls, values: Iterable[float], start: int = 0) -> "Signal":
-        return cls(support_start=start, values=tuple(values))
-
     @property
     def support_end(self) -> int:
         """Last stored time index (start - 1 when empty)."""
@@ -56,8 +52,8 @@ class Signal:
     def to_array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=float)
 
-    def is_zero(self, zero_tol: float = ZERO_TOL) -> bool:
-        return all(abs(v) <= zero_tol for v in self.values)
+    def is_zero(self) -> bool:
+        return all(abs(v) <= ZERO_TOL for v in self.values)
 
     def scaled(self, a: float) -> "Signal":
         return Signal(self.support_start, tuple(a * v for v in self.values))
@@ -116,11 +112,11 @@ def forward_difference(u: Signal, k: int = 1) -> Signal:
     return Signal(start, tuple(vals))
 
 
-def is_unimodal(u: Signal, zero_tol: float = ZERO_TOL) -> bool:
+def is_unimodal(u: Signal) -> bool:
     """True when the first forward difference changes sign at most once."""
     if len(_as_samples(u)) <= 1:
         return True
-    return variation(forward_difference(_coerce(u), 1), zero_tol) <= 1
+    return variation(forward_difference(_coerce(u), 1)) <= 1
 
 
 def first_nonzero_sign(u, zero_tol: float = ZERO_TOL) -> int:
@@ -162,36 +158,33 @@ def _default_window(g: Signal, window) -> tuple:
     return (a, b)
 
 
-def _shape_check(g: Signal, window, tol: float, zero_tol: float,
-                 concave: bool) -> bool:
+def _shape_check(g: Signal, window, concave: bool) -> bool:
     a, b = _default_window(_coerce(g), window)
     g = _coerce(g)
     samples = [g.value(t) for t in range(a, b + 1)]
     for t, v in zip(range(a, b + 1), samples):
-        if v < -zero_tol:
+        if v < -ZERO_TOL:
             raise ValueError(f"negative sample g({t})={v} inside window")
     # Nonzero support restricted to the window must be contiguous.
-    nz = [i for i, v in enumerate(samples) if v > zero_tol]
-    if nz and any(samples[i] <= zero_tol for i in range(nz[0], nz[-1] + 1)):
+    nz = [i for i, v in enumerate(samples) if v > ZERO_TOL]
+    if nz and any(samples[i] <= ZERO_TOL for i in range(nz[0], nz[-1] + 1)):
         return False
     for i in range(len(samples) - 2):
         sq = samples[i + 1] ** 2
         prod = samples[i] * samples[i + 2]
         lhs = (sq - prod) if concave else (prod - sq)
         scale = max(sq, abs(prod), 1e-300)
-        if lhs < -tol * scale:
+        if lhs < -SHAPE_TOL * scale:
             return False
     return True
 
 
-def is_log_concave(g: Signal, window=None, tol: float = SHAPE_TOL,
-                   zero_tol: float = ZERO_TOL) -> bool:
+def is_log_concave(g: Signal, window=None) -> bool:
     """Nonnegative on the window, interval support, and
-    g(t+1)^2 - g(t) g(t+2) >= 0 up to relative slack."""
-    return _shape_check(g, window, tol, zero_tol, concave=True)
+    g(t+1)^2 - g(t) g(t+2) >= 0 up to relative slack ``SHAPE_TOL``."""
+    return _shape_check(g, window, concave=True)
 
 
-def is_log_convex(g: Signal, window=None, tol: float = SHAPE_TOL,
-                  zero_tol: float = ZERO_TOL) -> bool:
+def is_log_convex(g: Signal, window=None) -> bool:
     """Mirror of is_log_concave with the inequality reversed."""
-    return _shape_check(g, window, tol, zero_tol, concave=False)
+    return _shape_check(g, window, concave=False)

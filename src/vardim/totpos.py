@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError
-from .signals import row_variations
+from .signals import ZERO_TOL, row_variations
 
 # Relative threshold below which a minor counts as zero.
 MINOR_TOL = 1e-9
@@ -120,7 +120,7 @@ def _check_symmetric(X: np.ndarray):
         raise ValueError("matrix is not symmetric")
 
 
-def is_pd(X, tol: float = PD_TOL) -> bool:
+def is_pd(X) -> bool:
     """Positive definiteness through leading principal minors."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.size == 0:
@@ -129,12 +129,12 @@ def is_pd(X, tol: float = PD_TOL) -> bool:
     for j in range(1, X.shape[0] + 1):
         sub = X[:j, :j]
         d = float(np.linalg.det(sub)) if j > 1 else float(sub[0, 0])
-        if d <= minor_zero_threshold(sub, tol):
+        if d <= minor_zero_threshold(sub, PD_TOL):
             return False
     return True
 
 
-def is_psd(X, tol: float = PSD_TOL) -> bool:
+def is_psd(X) -> bool:
     """Positive semidefiniteness through the smallest eigenvalue."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.size == 0:
@@ -142,7 +142,7 @@ def is_psd(X, tol: float = PSD_TOL) -> bool:
     _check_symmetric(X)
     w = np.linalg.eigvalsh((X + X.T) / 2.0)
     scale = max(float(np.max(np.abs(w))), 1e-300)
-    return bool(w[0] >= -tol * scale)
+    return bool(w[0] >= -PSD_TOL * scale)
 
 
 @dataclass(frozen=True)
@@ -170,8 +170,7 @@ def _scan_budget(m: int, n: int, k: int) -> int:
 
 
 def is_k_positive(X, k: int, strict: bool = False,
-                  consecutive_only: bool = False,
-                  tol: float = MINOR_TOL) -> KPositivityVerdict:
+                  consecutive_only: bool = False) -> KPositivityVerdict:
     """Check that all minors of order <= k are nonnegative (positive).
 
     Exhaustive mode scans every minor.  Consecutive mode scans only
@@ -196,7 +195,7 @@ def is_k_positive(X, k: int, strict: bool = False,
                     sub = X[np.ix_(ri, ci)]
                     d = float(np.linalg.det(sub)) if j > 1 else float(sub[0, 0])
                     checked += 1
-                    theta = minor_zero_threshold(sub, tol)
+                    theta = minor_zero_threshold(sub)
                     bad = d <= theta if strict else d < -theta
                     if bad:
                         rep = MinorReport(j, tuple(i + 1 for i in ri),
@@ -213,7 +212,7 @@ def is_k_positive(X, k: int, strict: bool = False,
                 sub = X[a:a + j, b:b + j]
                 d = float(np.linalg.det(sub)) if j > 1 else float(sub[0, 0])
                 checked += 1
-                theta = minor_zero_threshold(sub, tol)
+                theta = minor_zero_threshold(sub)
                 rows = tuple(range(a + 1, a + j + 1))
                 cols = tuple(range(b + 1, b + j + 1))
                 if d < -theta:
@@ -243,12 +242,12 @@ def desnanot_jacobi_residual(X) -> float:
     return float(abs(lhs - (nw * se - ne * sw)))
 
 
-def matrix_rank(X, tol: float = RANK_TOL) -> int:
-    """Rank by singular values above tol times the largest."""
+def matrix_rank(X) -> int:
+    """Rank by singular values above ``RANK_TOL`` times the largest."""
     s = np.linalg.svd(np.asarray(X, dtype=float), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > tol * s[0]))
+    return int(np.sum(s > RANK_TOL * s[0]))
 
 
 @dataclass(frozen=True)
@@ -322,8 +321,7 @@ def output_signs(X: np.ndarray, U: np.ndarray, eff_tol: float) -> tuple:
 
 def ovd_matrix_bruteforce(X, k: int, alphabet: Sequence[float] = (-1, 0, 1),
                           require_order: bool = True, samples: int = 0,
-                          seed: int = DEFAULT_SEED,
-                          zero_tol: float = 1e-12) -> BruteForceVerdict:
+                          seed: int = DEFAULT_SEED) -> BruteForceVerdict:
     """Enumerate inputs with at most k sign changes and verify that the
     matrix diminishes variation (and preserves the leading sign when the
     variation is attained).
@@ -342,7 +340,7 @@ def ovd_matrix_bruteforce(X, k: int, alphabet: Sequence[float] = (-1, 0, 1),
     rank = matrix_rank(X)
     bound_cap = rank - 1
     scale = max(1.0, float(np.max(np.abs(X))) if X.size else 0.0)
-    eff_tol = zero_tol * scale
+    eff_tol = ZERO_TOL * scale
     values = np.array(alpha)
 
     def blocks():
@@ -356,7 +354,7 @@ def ovd_matrix_bruteforce(X, k: int, alphabet: Sequence[float] = (-1, 0, 1),
 
     checked = 0
     for U, as_input in blocks():
-        rows, su, fu = candidate_rows(U, k, zero_tol)
+        rows, su, fu = candidate_rows(U, k, ZERO_TOL)
         sy, fy = output_signs(X, U[rows], eff_tol)
         grew = sy > np.minimum(bound_cap, su)
         flipped = (sy == su) & (fy != 0) & (fy != fu)

@@ -79,6 +79,28 @@ class TestCliCommands:
         assert lines[2].startswith("1,1.3")
         assert lines[3].startswith("2,1.05")
 
+    def test_check_csv(self, demo_file, capsys):
+        assert main(["check", "--system", demo_file, "--operator",
+                     "hankel", "--k", "2", "--format", "csv"]) == 0
+        assert capsys.readouterr().out == ("property,k,verdict,horizon,t0\n"
+                                           "hankel-k,2,certified,64,1\n")
+
+    @pytest.mark.parametrize("command", [
+        ["impulse"], ["compound", "--j", "2"],
+        ["decompose", "--operator", "hankel"],
+        ["oracle", "--operator", "hankel"]])
+    def test_format_is_check_only(self, demo_file, capsys, command):
+        # Only ``check`` has a CSV rendering; the other commands reject the
+        # option instead of printing text.
+        assert main(command + ["--system", demo_file,
+                               "--format", "csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert [line for line in lines if "error:" in line] == [
+            "vardim: error: unrecognized arguments: --format csv"]
+        assert "Traceback" not in captured.err
+
     def test_impulse_parse_error_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.sys"
         bad.write_text("")
@@ -139,6 +161,16 @@ class TestCliCommands:
                      "hankel", "--k", "2", "--out", prefix]) == 0
         assert main(["check", "--system", prefix + "dominant.sys",
                      "--operator", "hankel", "--k", "2"]) == 0
+
+    def test_decompose_zero_remainder(self, tmp_path, capsys):
+        src = tmp_path / "bank.sys"
+        src.write_text("poles = [0.9, 0.5]\nresidues = [1.0, 1.0]\n")
+        prefix = str(tmp_path / "dec.")
+        assert main(["decompose", "--system", str(src), "--operator",
+                     "hankel", "--k", "2", "--out", prefix]) == 0
+        with open(prefix + "remainder.sys", encoding="utf-8") as fh:
+            assert fh.read() == "poles = []\nresidues = []\n"
+        assert load_system(prefix + "remainder.sys").is_zero()
 
     def test_oracle_pass_and_fail(self, demo_file, tmp_path):
         good = tmp_path / "bank.sys"

@@ -328,9 +328,11 @@ class TestRandomSystems:
         pfs, tol = case
         size = SCAN_BLOCK_BYTES if rows is None else 8 * rows * max(
             len(pfs.terms), 1)
-        with mock.patch.object(vardim.positivity, "SCAN_BLOCK_BYTES", size):
-            rep = check_external(pfs, horizon, tol)
-        assert repr(rep) == repr(ref_check_external(pfs, horizon, tol))
+        with mock.patch.object(vardim.positivity, "SCAN_BLOCK_BYTES", size), \
+                mock.patch.object(vardim.positivity, "SAMPLE_TOL", tol):
+            rep = check_external(pfs, horizon)
+            want = ref_check_external(pfs, horizon, tol)
+        assert repr(rep) == repr(want)
 
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.tuples(residue_st, st.one_of(
