@@ -6,7 +6,10 @@ build a realization only for other sources; the minor sequence is a
 reference for tests.  The partial-fraction form is built as numpy array
 operations over all C(n, j) index tuples at once, rounding every product
 exactly as the scalar left-to-right loop does.  The index tuples of each
-(n, j) are built once and kept as a compact read-only table."""
+(n, j) are built once and kept as a compact read-only table.  The products
+are sorted once; coinciding ones are merged run by run, and the merged
+arrays are handed to ``PartialFractionSystem`` in ascending order, so the
+form is not sorted a second time."""
 
 from __future__ import annotations
 
@@ -90,7 +93,9 @@ def compound_transfer(pfs: PartialFractionSystem,
     system: one term per index tuple v, with pole prod(p_v) and residue
     prod(r_v) times the squared pole gaps inside v.
 
-    Terms whose pole products coincide are merged by compensated summation.
+    Terms whose pole products coincide (within ``MERGE_TOL``) are merged
+    into one, whose residue is the correctly rounded sum of theirs: one
+    IEEE add for a pair, ``math.fsum`` for more.
     """
     residues, poles = pfs.arrays
     n = len(residues)
@@ -117,16 +122,31 @@ def compound_transfer(pfs: PartialFractionSystem,
     for a, b in itertools.combinations(range(j), 2):
         res *= gaps.take(rows[a] + cols[b])
     del cols, rows
-    order = np.argsort(pole, kind="stable")
+    # Equal products land in one group, whose sum does not depend on the
+    # order of its members, so an unstable sort gives the same result, up
+    # to the sign of a zero product: -0.0 == 0.0 may come in either order,
+    # so the first zero takes the sign of the zero product a stable sort
+    # puts first, the one of the smallest index.
+    order = np.argsort(pole)
     pole, res = pole[order], res[order]
+    zeros = np.flatnonzero(pole == 0.0)
+    if len(zeros):
+        pole[zeros[0]] = pole[zeros[order[zeros].argmin()]]
     heads = _merge_heads(pole)
     if heads is not None:
         ends = np.append(heads[1:], m)
+        sizes = ends - heads
         merged = res[heads]
-        for g in np.flatnonzero(ends - heads > 1):
+        # One IEEE add is the correctly rounded sum of a pair, as fsum is.
+        # fsum sums the larger groups; once any sum is not finite it sums
+        # every group, so that it raises or overflows as it always did.
+        pair = sizes == 2
+        merged[pair] += res[heads[pair] + 1]
+        slow = sizes > (2 if np.isfinite(merged).all() else 1)
+        for g in np.flatnonzero(slow).tolist():
             merged[g] = math.fsum(res[heads[g]:ends[g]].tolist())
         res, pole = merged, pole[heads]
-    return PartialFractionSystem(np.column_stack((res, pole)))
+    return PartialFractionSystem._from_ascending(res, pole)
 
 
 def _merge_heads(pole: np.ndarray):
@@ -135,17 +155,30 @@ def _merge_heads(pole: np.ndarray):
 
     A pole joins the group of its predecessor when it lies within
     ``MERGE_TOL`` (relative) of that group's first pole.  A step wider than
-    ``MERGE_TOL * max(1, max|pole|)`` always starts a group, so only the
-    rare narrower steps are decided one at a time.
+    ``MERGE_TOL * max(1, max|pole|)`` always starts a group.  A run of
+    narrower steps whose whole span is within ``MERGE_TOL * max(1, |p|)``
+    of its first pole p is one group; only the runs that span more are
+    decided one step at a time.
     """
     scale = max(1.0, float(np.max(np.abs(pole))))
-    steps = np.flatnonzero(pole[1:] - pole[:-1] <= MERGE_TOL * scale) + 1
+    steps = np.flatnonzero(pole[1:] - pole[:-1] <= MERGE_TOL * scale)
+    if not len(steps):
+        return None
     head = np.ones(len(pole), dtype=bool)
-    first = {}
-    for i in steps.tolist():
-        h = first.get(i - 1, i - 1)
-        a, b = float(pole[i]), float(pole[h])
-        if abs(a - b) <= MERGE_TOL * max(1.0, abs(a), abs(b)):
-            first[i] = h
-            head[i] = False
+    head[steps + 1] = False
+    # A run of narrow steps joins the poles from one head to the next; the
+    # largest pole of each run is the last.
+    first = np.flatnonzero(head)
+    low = pole[first]
+    wide = np.maximum.reduceat(pole, first) - low > MERGE_TOL * np.maximum(
+        1.0, np.abs(low))
+    if not wide.any():
+        return first
+    ends = np.append(first[1:], len(pole))
+    for h, end in zip(first[wide].tolist(), ends[wide].tolist()):
+        for i in range(h + 1, end):
+            a, b = float(pole[i]), float(pole[h])
+            if abs(a - b) > MERGE_TOL * max(1.0, abs(a), abs(b)):
+                head[i] = True
+                h = i
     return None if head.all() else np.flatnonzero(head)

@@ -25,6 +25,15 @@ from .signals import Signal
 REAL_SNAP_TOL = 1e-8
 # Relative separation below which two poles count as repeated.
 POLE_SEP_TOL = 1e-12
+# Relative distance at which a pole and a zero of a rational transfer
+# function count as one cancelling factor.
+POLE_ZERO_TOL = 1e-9
+# Relative eigenvalue gap below which ``canonical`` keeps a state space
+# instead of diagonalising it.
+MODE_SEP_TOL = 1e-9
+# Residues below this share of the largest one are dropped by ``canonical``
+# as uncontrollable or unobservable modes.
+MODE_DROP_TOL = 1e-12
 DEFAULT_HORIZON = 64
 
 
@@ -59,6 +68,33 @@ class _Terms:
         obj.__dict__["terms"] = value
 
 
+def _dominance_arrays(r: np.ndarray, p: np.ndarray,
+                      ascending: bool = False) -> tuple:
+    """Residues and poles checked finite, zero residues dropped, in
+    dominance order, poles checked separated.  Poles that arrive in
+    ascending order and are all positive are in dominance order reversed;
+    any other input is sorted."""
+    if not (np.isfinite(r).all() and np.isfinite(p).all()):
+        raise ValueError("residues and poles must be finite")
+    keep = r != 0.0
+    if not keep.all():
+        r, p = r[keep], p[keep]
+    if ascending and (p > 0.0).all():
+        r, p = r[::-1], p[::-1]
+    else:
+        # Stable, and the same total order as sorting by ``dominance_key``.
+        order = np.lexsort((-p, -np.abs(p)))
+        r, p = r[order], p[order]
+    scale = np.maximum(np.abs(p), 1.0)
+    near = np.abs(np.diff(p)) <= POLE_SEP_TOL * np.maximum(scale[:-1],
+                                                           scale[1:])
+    if near.any():
+        raise UnsupportedRepresentationError(
+            f"repeated pole {float(p[np.argmax(near)])}; use StateSpace "
+            f"for repeated poles")
+    return r, p
+
+
 @dataclass(frozen=True)
 class PartialFractionSystem:
     """Sum of simple real first-order terms plus an optional direct FIR tail.
@@ -85,21 +121,22 @@ class PartialFractionSystem:
             rp = rp.reshape(0, 2)
         if rp.ndim != 2 or rp.shape[1] != 2:
             raise ValueError("terms must be (residue, pole) pairs")
-        if not np.isfinite(rp).all():
-            raise ValueError("residues and poles must be finite")
-        rp = rp[rp[:, 0] != 0.0]
-        # Stable, and the same total order as sorting by ``dominance_key``.
-        r, p = rp[np.lexsort((-rp[:, 1], -np.abs(rp[:, 1])))].T.copy()
-        scale = np.maximum(np.abs(p), 1.0)
-        near = np.abs(np.diff(p)) <= POLE_SEP_TOL * np.maximum(scale[:-1],
-                                                               scale[1:])
-        if near.any():
-            raise UnsupportedRepresentationError(
-                f"repeated pole {float(p[np.argmax(near)])}; use StateSpace "
-                f"for repeated poles")
-        self._set_arrays(r, p)
+        self._set_arrays(*_dominance_arrays(rp[:, 0], rp[:, 1]))
         if self.fir.support_start < 0:
             raise ValueError("FIR tail samples must sit at t >= 0")
+
+    @classmethod
+    def _from_ascending(cls, r: np.ndarray,
+                        p: np.ndarray) -> "PartialFractionSystem":
+        """Pure pole/residue system from residue and pole arrays sorted by
+        ascending pole, such as ``compound_transfer`` hands over: the same
+        system as the constructor builds from the pairs, without copying
+        them into pairs or sorting them again.  The system takes the arrays
+        over (read-only, possibly as reversed views)."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "fir", Signal())
+        out._set_arrays(*_dominance_arrays(r, p, ascending=True))
+        return out
 
     def _set_arrays(self, r: np.ndarray, p: np.ndarray):
         for arr in (r, p):
@@ -177,7 +214,7 @@ class RationalTransferFunction:
         scale = max(1.0, max(abs(p) for p in self.poles))
         for p in self.poles:
             for z in self.zeros:
-                if abs(p - z) <= 1e-9 * scale:
+                if abs(p - z) <= POLE_ZERO_TOL * scale:
                     raise ValueError(
                         f"pole {p} and zero {z} coincide; cancel the factor")
 
@@ -461,14 +498,14 @@ def canonical(sys: SystemLike) -> Union[PartialFractionSystem, StateSpace]:
     if np.max(np.abs(lam.imag)) > REAL_SNAP_TOL * scale:
         return sys
     lam = lam.real
-    if np.any(np.diff(np.sort(lam)) <= 1e-9 * scale):
+    if np.any(np.diff(np.sort(lam)) <= MODE_SEP_TOL * scale):
         return sys
     try:
         W = np.linalg.inv(V.real)
     except np.linalg.LinAlgError:
         return sys
     residues = (sys.c @ V.real) * (W @ sys.b)
-    drop = 1e-12 * max(1.0, float(np.max(np.abs(residues))))
+    drop = MODE_DROP_TOL * max(1.0, float(np.max(np.abs(residues))))
     return PartialFractionSystem(tuple(
         (float(r), float(p)) for r, p in zip(residues, lam) if abs(r) > drop))
 

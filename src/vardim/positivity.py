@@ -41,6 +41,9 @@ RELAXATION_TOL = 1e-9
 # Relative gap below which ``repeated_pole_check`` merges two eigenvalues
 # into one pole cluster.
 POLE_CLUSTER_TOL = 1e-8
+# Relative slack of the remainder window determinants that
+# ``hankel_decompose`` spot-checks.
+SPOT_CHECK_TOL = 1e-9
 # How far the sampler is willing to extend past the horizon to pin a
 # concrete negative sample for structurally refuted systems.
 WITNESS_SEARCH_CAP = 1 << 18
@@ -132,19 +135,26 @@ class _SampleScan:
     numpy forms the terms r * p**(t-1) for a block of consecutive t at a
     time and sums them.  A block doubles its rows with the squares p**2,
     p**4, ...; row t then holds p**(t-1) as a product of t - 1 rounded
-    factors, as many as repeated multiplication from t = 1 takes.
-    With u = 2**-53, each approximate term is within (t + 1) u of the
-    exact term, the block sum adds at most (m + 1) u of the summed
-    magnitudes, and the exact sample ``partial_fraction_samples`` (libm pow
-    within one ulp, one product, a correctly rounded sum) is within 4 u of
-    the exact value, so the two differ by at most
+    factors, as many as repeated multiplication from t = 1 takes.  The m
+    terms of a row sit in c chunks of s columns, s = isqrt(m - 1) + 1 and
+    c = ceil(m / s), zero-padded to c * s; a row is summed chunk by chunk,
+    then over its c chunk sums, each level one matrix-vector product with
+    ones.  With u = 2**-53, a sum of s terms in any order is within
+    (s - 1) u of their summed magnitudes (Higham, ch. 4), so the bound
+    holds whatever order the product adds in, and a row sum plus the FIR
+    sample adds at most (s + c) u, about 2 sqrt(m) u instead of (m + 1) u.
+    Each approximate term is within (t + 1) u of the exact term, and the
+    exact sample ``partial_fraction_samples`` (libm pow within one ulp, one
+    product, a correctly rounded sum) is within 4 u of the exact value, so
+    the two differ by at most
 
-        B(t) = (t + m + 8) * 2**-52 * W(t) + (t + 3) * (m + 1) * 2**-1074
-               * max(1, max|r|),
+        B(t) = (t + s + c + 7) * 2**-52 * W(t) + (t + 3) * (m + 1)
+               * 2**-1074 * max(1, max|r|),
 
     W(t) being the computed sum of |terms| and the last part covering
-    underflow.  A sample whose approximation lies within B(t) of a
-    threshold, or is not finite, is re-decided from its exact value, so
+    underflow.  The tail (the |terms| with the leading one zeroed) is
+    summed the same way.  A sample whose approximation lies within B(t) of
+    a threshold, or is not finite, is re-decided from its exact value, so
     every decision equals the one the exact samples give.  Blocks hold at
     most ``SCAN_BLOCK_BYTES`` of terms; later scans continue the powers
     where the previous one stopped.
@@ -155,10 +165,23 @@ class _SampleScan:
         self.theta = theta
         self.r, self.p = pfs.arrays
         m = len(self.r)
-        self.rows = max(1, SCAN_BLOCK_BYTES // (8 * max(m, 1)))
-        self.floor = (m + 1) * 2.0 ** -1074 * max(
-            1.0, float(np.max(np.abs(self.r), initial=0.0)))
-        self.power = np.ones(m)  # p**(t - 1) at the first t >= max(next, 1)
+        self.s = math.isqrt(max(m, 1) - 1) + 1
+        self.c = -(-m // self.s)
+        width = self.c * self.s
+        self.rows = max(1, SCAN_BLOCK_BYTES // (8 * max(width, 1)))
+        self.floor = (m + 1) * 2.0 ** -1074 * float(
+            np.abs(self.r).max(initial=1.0))
+        # Residues and poles, zero-padded to the chunked width.
+        self.padded = np.zeros((2, width))
+        self.padded[0, :m] = self.r
+        self.padded[1, :m] = self.p
+        ones = np.empty(width + self.s + self.c)
+        ones.fill(1.0)
+        # p**(t-1) at the first t >= max(next, 1).  ``_blocks`` copies it
+        # and then rebinds it, never writing into it, so it may share the
+        # buffer of the ones the chunk sums multiply by.
+        self.power = ones[:width]
+        self.ones = ones[width:width + self.s], ones[width + self.s:]
         self.next = 0
         self._exact = {}
 
@@ -192,8 +215,15 @@ class _SampleScan:
         """Yield (t, approximate g, bound, lead, tail) arrays for blocks of
         t from ``next`` up to ``stop``; t = 0 has no pole terms."""
         fir = self.pfs.fir
-        m = len(self.r)
-        buf = np.empty((min(self.rows, max(stop - self.next + 1, 0)), m))
+        m, s, c = len(self.r), self.s, self.c
+        r, p = self.padded
+        ones_s, ones_c = self.ones
+
+        def row_sums(q):
+            # Chunk sums, then the sum of each row's chunk sums.
+            return q.reshape(-1, s).dot(ones_s).reshape(len(q), c).dot(ones_c)
+
+        buf = np.empty((min(self.rows, max(stop - self.next + 1, 0)), c * s))
         while self.next <= stop:
             ts = np.arange(self.next, min(self.next + self.rows, stop + 1))
             q = buf[:len(ts)]
@@ -201,30 +231,34 @@ class _SampleScan:
             q[:first] = 0.0
             if first < len(q):
                 q[first] = self.power
-                # Doubling: the rows so far times p**(2**s), itself formed
+                # Doubling: the rows so far times p**(2**i), itself formed
                 # by repeated squaring, fill as many rows again.
-                step, k = self.p, first + 1
+                step, k = p, first + 1
                 while True:
                     end = min(2 * k - first, len(q))
                     np.multiply(q[first:first + end - k], step, out=q[k:end])
                     if end == len(q):
                         break
                     step, k = step * step, end
-                self.power = q[-1] * self.p
+                self.power = q[-1] * p
             self.next = int(ts[-1]) + 1
-            q *= self.r
-            f = np.zeros(len(ts))
+            q *= r
+            lead = q[:, 0].copy() if m else np.zeros(len(ts))
+            g = row_sums(q)
+            np.abs(q, out=q)
+            if m:
+                q[:, 0] = 0.0
+            tail = row_sums(q)
+            w = tail + np.abs(lead)
             lo = max(int(ts[0]), fir.support_start)
             hi = min(int(ts[-1]), fir.support_end)
-            if lo <= hi:
+            if lo <= hi:  # FIR samples in this block
+                f = np.zeros(len(ts))
                 f[lo - ts[0]:hi - ts[0] + 1] = fir.values[
                     lo - fir.support_start:hi - fir.support_start + 1]
-            lead = q[:, 0].copy() if m else np.zeros(len(ts))
-            g = q.sum(axis=1) + f
-            np.abs(q, out=q)
-            tail = q[:, 1:].sum(axis=1)
-            w = tail + np.abs(lead) + np.abs(f)
-            bound = (ts + (m + 8)) * 2.0 ** -52 * w + (ts + 3) * self.floor
+                g += f
+                w += np.abs(f)
+            bound = (ts + (s + c + 7)) * 2.0 ** -52 * w + (ts + 3) * self.floor
             yield ts, g, bound, lead, tail
 
     @staticmethod
@@ -713,7 +747,7 @@ def _spot_check_compounds(pfs: PartialFractionSystem, k: int):
     for j in range(2, min(k, n) + 1):
         for t in (1, 2):
             d = hankel_matrix(g, t, j).det()
-            if d < -1e-9 * scale ** j:
+            if d < -SPOT_CHECK_TOL * scale ** j:
                 raise StructuralError(
                     f"remainder window determinant at t={t}, order {j} "
                     f"is negative: {d}")

@@ -17,6 +17,8 @@ MINOR_TOL = 1e-9
 PD_TOL = 1e-10
 PSD_TOL = 1e-9
 RANK_TOL = 1e-10
+# Relative asymmetry above which ``is_pd``/``is_psd`` reject a matrix.
+SYMMETRY_TOL = 1e-9
 # Hard cap on exhaustive minor scans.
 MINOR_SCAN_CAP = 10 ** 6
 # Hard cap on brute-force input enumeration.
@@ -116,7 +118,7 @@ def minor_zero_threshold(sub: np.ndarray, tol: float = MINOR_TOL) -> float:
 
 def _check_symmetric(X: np.ndarray):
     scale = max(1.0, float(np.max(np.abs(X))) if X.size else 0.0)
-    if np.max(np.abs(X - X.T)) > 1e-9 * scale:
+    if np.max(np.abs(X - X.T)) > SYMMETRY_TOL * scale:
         raise ValueError("matrix is not symmetric")
 
 

@@ -5,7 +5,9 @@
 reuses the sorted poles, and the structured windows are sliced from one
 list of samples.  The eager constructor, the eager compound and the
 entry-by-entry windows are kept below as test-only references; results
-must agree bit for bit.
+must agree bit for bit.  The run-wise merge and the ascending hand-over of
+``compound_transfer`` are checked against the one-step-at-a-time merge
+rule and the eager constructor.
 """
 
 import dataclasses
@@ -19,13 +21,14 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from vardim import lti
-from vardim.compound import (INDEX_TABLES, _merge_heads, compound_transfer,
-                             index_tuples)
+from vardim import lti, positivity
+from vardim.compound import (INDEX_TABLES, MERGE_TOL, _merge_heads,
+                             compound_transfer, index_tuples)
 from vardim.errors import UnsupportedRepresentationError, WindowError
 from vardim.lti import (POLE_SEP_TOL, PartialFractionSystem,
                         RationalTransferFunction, hankel_matrix,
-                        partial_fractions, toeplitz_matrix)
+                        partial_fraction_samples, partial_fractions,
+                        toeplitz_matrix)
 from vardim.oracle import DEMO_FUTURE_GROWTH, demo_system, ovd_verify
 from vardim.positivity import check_toeplitz_k
 from vardim.signals import Signal
@@ -68,6 +71,14 @@ class EagerPFS:
     def scaled(self, a: float) -> "EagerPFS":
         return EagerPFS(tuple((a * r, p) for r, p in self.terms),
                         self.fir.scaled(a))
+
+
+def outcome(fn) -> str:
+    """repr of the result, or the exception's type and message."""
+    try:
+        return repr(fn())
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return f"{type(exc).__name__}: {exc}"
 
 
 def eager_repr(e: EagerPFS) -> str:
@@ -217,6 +228,81 @@ class TestIndexTables:
         pfs = partial_fractions(cascade(16))
         for j in (2, 8, 15, 16):
             assert compound_transfer(pfs, j).terms == eager_compound(pfs, j)
+
+
+# ---------------------------------------------------------------------------
+# The merge and the hand-over of sorted arrays.
+
+
+def sequential_heads(pole: np.ndarray) -> list:
+    """First index of each group under the one-product-at-a-time rule."""
+    heads = [0]
+    for i in range(1, len(pole)):
+        a, b = float(pole[i]), float(pole[heads[-1]])
+        if abs(a - b) > MERGE_TOL * max(1.0, abs(a), abs(b)):
+            heads.append(i)
+    return heads
+
+
+class TestMergeAndHandOver:
+    def test_merge_heads_match_sequential_rule(self):
+        rng = np.random.default_rng(10)
+        for scale in (1.0, 0.3, 40.0):
+            for _ in range(200):
+                # Clusters of products spaced a fraction of MERGE_TOL apart,
+                # some chains spanning several tolerances.
+                centres = rng.uniform(-1.0, 1.0, rng.integers(1, 6)) * scale
+                steps = rng.uniform(0.0, 0.9, (len(centres),
+                                               rng.integers(1, 6)))
+                pole = np.sort(np.concatenate([
+                    c + np.cumsum(s) * MERGE_TOL * max(1.0, abs(c))
+                    for c, s in zip(centres, steps)]))
+                heads = _merge_heads(pole)
+                want = sequential_heads(pole)
+                if heads is None:
+                    assert want == list(range(len(pole)))
+                else:
+                    assert heads.tolist() == want
+
+    def test_from_ascending_matches_constructor(self):
+        rng = np.random.default_rng(11)
+        arrays = []
+        for n in (0, 1, 2, 5, 9):
+            for lo in (0.05, -0.9, -2.0):
+                p = np.sort(rng.choice(np.linspace(lo, 1.5, 64), n,
+                                       replace=False))
+                r = rng.uniform(-2.0, 2.0, n)
+                r[:n // 3] = 0.0
+                arrays.append((rng.permutation(r), p))
+        arrays.append((np.ones(2), np.array([0.5, 0.5 + 1e-14])))
+        arrays.append((np.array([0.0, 1.0, 2.0]), np.array([0.5, 0.5, 0.7])))
+        arrays.append((np.array([1.0, np.inf]), np.array([0.2, 0.4])))
+        arrays.append((np.array([1.0, 2.0]), np.array([0.2, np.nan])))
+        for r, p in arrays:
+            want = outcome(lambda: EagerPFS(np.column_stack((r, p))))
+            got = outcome(lambda: PartialFractionSystem._from_ascending(
+                r.copy(), p.copy()))
+            assert got == want.replace("EagerPFS(", "PartialFractionSystem(")
+
+
+class TestExactSampleBudget:
+    def test_sixteen_lag_cascade_sums_few_exact_terms(self):
+        # Wide compounds cancel to near zero at early samples; a guard band
+        # that grows with sqrt(m) rather than m leaves them outside it, so
+        # few samples are re-decided term by term.
+        summed = []
+
+        def counting(terms, fir, times):
+            terms, times = list(terms), list(times)
+            summed.append(len(terms) * sum(t >= 1 for t in times))
+            return partial_fraction_samples(terms, fir, times)
+
+        system = cascade(16)
+        with mock.patch.object(positivity, "partial_fraction_samples",
+                               counting):
+            report = check_toeplitz_k(system, 16)
+        assert repr(report) == repr(check_toeplitz_k(system, 16))
+        assert 0 < sum(summed) < 1000
 
 
 # ---------------------------------------------------------------------------

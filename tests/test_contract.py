@@ -26,15 +26,20 @@ TOLERANCES = {
     (signals, "SHAPE_TOL"): 1e-9,
     (lti, "REAL_SNAP_TOL"): 1e-8,
     (lti, "POLE_SEP_TOL"): 1e-12,
+    (lti, "POLE_ZERO_TOL"): 1e-9,
+    (lti, "MODE_SEP_TOL"): 1e-9,
+    (lti, "MODE_DROP_TOL"): 1e-12,
     (compound, "MERGE_TOL"): 1e-12,
     (totpos, "MINOR_TOL"): 1e-9,
     (totpos, "PD_TOL"): 1e-10,
     (totpos, "PSD_TOL"): 1e-9,
     (totpos, "RANK_TOL"): 1e-10,
+    (totpos, "SYMMETRY_TOL"): 1e-9,
     (positivity, "SAMPLE_TOL"): 1e-12,
     (positivity, "DOMINANCE_MARGIN"): 1e-9,
     (positivity, "RELAXATION_TOL"): 1e-9,
     (positivity, "POLE_CLUSTER_TOL"): 1e-8,
+    (positivity, "SPOT_CHECK_TOL"): 1e-9,
 }
 
 

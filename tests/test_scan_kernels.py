@@ -6,6 +6,7 @@ The scalar definitions they replace are kept below as test-only references;
 terms must compare equal with ``==`` and reports by ``repr``.
 """
 
+import collections
 import itertools
 import math
 import tracemalloc
@@ -52,9 +53,16 @@ def ref_terms(terms) -> tuple:
 
 def ref_compound_terms(pfs: PartialFractionSystem, j: int) -> tuple:
     """The scalar index-tuple loop with its sequential merge."""
-    n = len(pfs.terms)
     if j == 1:
         return pfs.terms
+    return ref_terms(tuple((math.fsum(parts), pole)
+                           for pole, parts in ref_merged(pfs, j)))
+
+
+def ref_merged(pfs: PartialFractionSystem, j: int) -> list:
+    """(first pole, residues) of each merged group of the scalar loop's
+    order-j products, by ascending pole."""
+    n = len(pfs.terms)
     residues, poles = pfs.residues, pfs.poles
     raw = []
     for v in itertools.combinations(range(n), j):
@@ -75,8 +83,7 @@ def ref_compound_terms(pfs: PartialFractionSystem, j: int) -> tuple:
             merged[-1][1].append(res)
         else:
             merged.append((pole, [res]))
-    return ref_terms(tuple((math.fsum(parts), pole)
-                           for pole, parts in merged))
+    return merged
 
 
 def ref_samples(pfs: PartialFractionSystem, horizon: int) -> list:
@@ -273,6 +280,90 @@ class TestScalarReferences:
 
 
 # ---------------------------------------------------------------------------
+# Compound merges: whole runs, the sequential fallback, pairs and both
+# dominance orders of the hand-over.
+
+
+def grid_bank(n: int) -> PartialFractionSystem:
+    """Poles n/(n+1), ..., 1/(n+1): products over index tuples whose
+    integer products coincide agree to the last bits, so many merge in
+    groups of two and of three or more."""
+    return PartialFractionSystem(tuple(zip(
+        spread(n), [(n - i) / (n + 1) for i in range(n)])))
+
+
+def assert_compounds_match_scalar(pfs: PartialFractionSystem):
+    for j in range(1, len(pfs.terms) + 1):
+        got, want = compound_transfer(pfs, j).terms, ref_compound_terms(pfs,
+                                                                         j)
+        assert got == want
+        assert repr(got) == repr(want)
+
+
+class TestCompoundMerges:
+    def test_grid_poles_every_order(self):
+        sizes = collections.Counter()
+        for n in range(10, 17):
+            pfs = grid_bank(n)
+            for j in range(2, n + 1):
+                groups = ref_merged(pfs, j)
+                sizes.update(min(len(parts), 3) for _, parts in groups)
+                want = ref_terms(tuple((math.fsum(parts), pole)
+                                       for pole, parts in groups))
+                got = compound_transfer(pfs, j).terms
+                assert got == want
+                assert repr(got) == repr(want)
+        assert sizes[2] > 1000 and sizes[3] > 1000
+
+    def test_chain_wider_than_merge_tol_is_decided_step_by_step(self):
+        # The pairs (0.8, 0.5), (0.9, d) and (0.6, f) have products about
+        # 0.7e-12 apart: each step is within MERGE_TOL, the run spans more.
+        d = (0.4 + 0.7e-12) / 0.9
+        f = (0.4 + 1.4e-12) / 0.6
+        pfs = PartialFractionSystem(tuple(zip(
+            spread(6), (0.9, 0.8, 0.6, f, 0.5, d))))
+        near = [(pole, parts) for pole, parts in ref_merged(pfs, 2)
+                if abs(pole - 0.4) < 1e-10]
+        assert [len(parts) for _, parts in near] == [2, 1]
+        chain = sorted((0.8 * 0.5, 0.9 * d, 0.6 * f))
+        assert all(b - a <= MERGE_TOL for a, b in zip(chain, chain[1:]))
+        assert chain[-1] - chain[0] > MERGE_TOL
+        assert_compounds_match_scalar(pfs)
+
+    def test_mixed_signs_and_poles_above_one(self):
+        pfs = PartialFractionSystem(tuple(zip(
+            spread(8), (2.0, -1.5, 1.25, -0.8, 0.5, -0.4, 0.25, 0.1))))
+        for j in range(2, 9):
+            assert (np.array(compound_transfer(pfs, j).poles) <= 0).any()
+        assert_compounds_match_scalar(pfs)
+
+    def test_zero_products_keep_the_sign_of_the_first(self):
+        # A zero pole makes products -0.0 and 0.0, which compare equal;
+        # the merged term's pole is the one of the first in index order.
+        for poles in ((0.0, 0.5, -0.5, -0.75, 0.9),
+                      (0.9, -0.8, 0.6, 0.0, -0.3, 0.2, -0.1, 0.05)):
+            pfs = PartialFractionSystem(tuple(zip(spread(len(poles)),
+                                                  poles)))
+            assert_compounds_match_scalar(pfs)
+
+    def test_merge_that_cancels_to_zero_drops_the_term(self):
+        # 0.8 * 0.25 == 0.5 * 0.4 == 0.2 exactly, and the residues of the
+        # two products are exact negatives, so their group sums to 0.
+        g_ab, g_cd = (0.8 - 0.25) ** 2, (0.5 - 0.4) ** 2
+        positive = PartialFractionSystem(
+            ((g_cd, 0.8), (-g_ab, 0.5), (1.0, 0.4), (1.0, 0.25)))
+        # (+-0.8) * (+-0.5) meet at 0.4 and -0.4 with cancelling residues.
+        mixed = PartialFractionSystem(
+            ((1.0, 0.8), (-1.0, -0.8), (0.5, 0.5), (0.5, -0.5)))
+        for pfs, poles in ((positive, (0.8 * 0.5, 0.8 * 0.4, 0.5 * 0.25,
+                                       0.4 * 0.25)),
+                           (mixed, (0.8 * -0.8, 0.5 * -0.5))):
+            pair = compound_transfer(pfs, 2)
+            assert pair.poles == poles
+            assert_compounds_match_scalar(pfs)
+
+
+# ---------------------------------------------------------------------------
 # Random systems, including FIR tails, zero residues, negative poles and
 # residues at +-theta.
 
@@ -371,6 +462,39 @@ class TestGuardBand:
         assert rep.verdict == REFUTED
         assert rep.witness == {"kind": "negative-sample", "time": 1,
                                "value": -2.000010000002e-12}
+        assert repr(rep) == repr(ref_check_external(self.PFS))
+
+
+def wide_straddle() -> PartialFractionSystem:
+    """400 terms in 20 chunks of 20 columns.  g(1) = 1 + r - 1 + 397e-25
+    with 1 and r in the first chunk and -1 in the second, so the chunked
+    sum rounds 1 + r and lands above -theta, while the exact sample lies
+    below it."""
+    terms = [(1.0, 0.995), (-2.000006938895904e-12, 0.99)] + [
+        (1e-25, p) for p in np.linspace(0.97, 0.02, 398).tolist()]
+    terms[20] = (-1.0, terms[20][1])
+    return PartialFractionSystem(tuple(terms))
+
+
+class TestWideGuardBand:
+    PFS = wide_straddle()
+
+    def test_case_straddles_the_threshold_inside_the_band(self):
+        theta = SAMPLE_TOL * _sample_scale(self.PFS)
+        scan = _SampleScan(self.PFS, theta)
+        assert len(self.PFS.arrays[0]) == 400
+        assert (scan.s, scan.c) == (20, 20)
+        ts, approx, bound, _, _ = next(scan._blocks(1))
+        exact = partial_fraction_samples(self.PFS.terms, self.PFS.fir, (1,))[0]
+        assert exact < -theta < approx[1]
+        assert abs(approx[1] + theta) <= bound[1]
+
+    def test_exact_sample_decides(self):
+        rep = check_external(self.PFS)
+        exact = partial_fraction_samples(self.PFS.terms, self.PFS.fir, (1,))[0]
+        assert rep.verdict == REFUTED
+        assert rep.witness == {"kind": "negative-sample", "time": 1,
+                               "value": exact}
         assert repr(rep) == repr(ref_check_external(self.PFS))
 
 
