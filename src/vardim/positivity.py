@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from sys import float_info
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -304,7 +305,9 @@ def _witness_horizon(pfs: PartialFractionSystem, start: int,
     max(start, 8) * 4**i (up to ``WITNESS_SEARCH_CAP``) at which the bound
     sum|r| rho^(t-1) is at most tol/2, past the FIR support with rho <= 1
     (no later sample can then fall below -tol), else the last of them, or
-    0 when even the first exceeds the cap."""
+    0 when even the first exceeds the cap.  With rho > 1 it stops by the
+    last t at which max(1, sum|r|) rho^(t+1) is below the largest double,
+    so every power, term and sum the search evaluates is finite."""
     rho = max((abs(p) for p in pfs.poles), default=0.0)
     weight = math.fsum(np.abs(pfs.arrays[0]).tolist())
     fir = pfs.fir.trimmed()
@@ -317,16 +320,25 @@ def _witness_horizon(pfs: PartialFractionSystem, start: int,
                 and weight * rho ** (horizon - 1) <= tol / 2):
             break
         horizon *= 4
+    if rho > 1.0:
+        last = min(last, int(math.log(float_info.max / max(1.0, weight))
+                             / math.log(rho)) - 1)
     return last
 
 
 def check_external(sys, horizon: int = DEFAULT_HORIZON) -> PositivityReport:
     """Three-tier external positivity check.
 
-    A partial-fraction system with a strictly dominant simple real pole and
-    positive leading residue earns a geometric tail certificate; structural
-    violations (negative or sign-alternating dominant dynamics, a real zero
-    at or above the dominant pole) refute with a concrete witness.  Systems
+    The samples of a partial-fraction system up to the horizon are scanned
+    first, and a negative one refutes.  A strictly dominant simple real
+    pole with a positive leading residue earns a geometric tail certificate
+    as soon as the scan finds the time t* from which the leading term
+    outweighs the others.  Without a certificate the search for a negative
+    sample goes on past the horizon: negative or sign-alternating dominant
+    dynamics, or a real zero at or above the dominant pole, force one at
+    finite time.  It refutes with the sample it finds (witness kind
+    ``dominant-structure`` for a negative dominant pole or residue,
+    ``negative-sample`` otherwise), or ends ``holds-to-horizon``.  Systems
     convertible only to state-space or rational form are sampled.
     """
     pfs = canonical(sys)
@@ -363,32 +375,6 @@ def check_external(sys, horizon: int = DEFAULT_HORIZON) -> PositivityReport:
             certificate=f"finite support exhausted at t="
                         f"{pfs.fir.support_end}")
 
-    suspicious = None
-    if p1 < 0 or r1 < 0:
-        suspicious = {"kind": "dominant-structure",
-                      "reason": ("dominant pole negative" if p1 < 0 else
-                                 "dominant residue nonpositive"),
-                      "pole": p1, "residue": r1}
-    else:
-        try:
-            zero = _real_zero_at_or_above(pfs, p1)
-        except ValueError:
-            # Nearly cancelling factors leave the zero test undecided, and
-            # numerical doubt must neither certify nor refute.
-            return PositivityReport(EXTERNAL, 1, HOLDS, horizon, t0=t0)
-        if zero is not None:
-            suspicious = {"kind": "real-zero-dominates", "zero": zero,
-                          "pole": p1}
-    if suspicious is not None:
-        # Any of these structures forces a negative sample at finite time;
-        # pin one down so the refutation carries a concrete witness.
-        found = scan.run(_witness_horizon(pfs, need, theta), t0)[1]
-        if found is not None:
-            suspicious.update({"time": found, "value": scan.sample(found)})
-            return PositivityReport(EXTERNAL, 1, REFUTED, horizon, t0=t0,
-                                    witness=suspicious)
-        return PositivityReport(EXTERNAL, 1, HOLDS, horizon, t0=t0)
-
     if t_star is not None:
         lead, tail = scan.lead_tail(t_star)
         return PositivityReport(
@@ -396,20 +382,19 @@ def check_external(sys, horizon: int = DEFAULT_HORIZON) -> PositivityReport:
             certificate=(f"tail dominance from t={t_star}: "
                          f"{_fmt(lead)} > {_fmt(tail)} and samples "
                          f"nonnegative up to t={t_star}"))
-    return PositivityReport(EXTERNAL, 1, HOLDS, horizon, t0=t0)
 
-
-def _real_zero_at_or_above(pfs: PartialFractionSystem,
-                           p1: float) -> Optional[float]:
-    # Root extraction is only trusted at desk-scale degrees.
-    if not 2 <= len(pfs.arrays[0]) <= 12 or not pfs.fir.is_zero():
-        return None
-    rtf = recombine(pfs)
-    scale = max(1.0, abs(p1))
-    for z in rtf.zeros:
-        if z.imag == 0.0 and z.real >= p1 + 10 * SAMPLE_TOL * scale:
-            return float(z.real)
-    return None
+    found = scan.run(_witness_horizon(pfs, need, theta), t0)[1]
+    if found is None:
+        return PositivityReport(EXTERNAL, 1, HOLDS, horizon, t0=t0)
+    witness = {"kind": "negative-sample"}
+    if p1 < 0 or r1 < 0:
+        witness = {"kind": "dominant-structure",
+                   "reason": ("dominant pole negative" if p1 < 0 else
+                              "dominant residue nonpositive"),
+                   "pole": p1, "residue": r1}
+    witness.update({"time": found, "value": scan.sample(found)})
+    return PositivityReport(EXTERNAL, 1, REFUTED, horizon, t0=t0,
+                            witness=witness)
 
 
 def _check_external_sampled(sys, horizon: int) -> PositivityReport:
@@ -722,20 +707,11 @@ def hankel_decompose(pfs: PartialFractionSystem, k: int,
         raise StructuralError(
             "dominant part violates the parallel-lag pattern: "
             f"{total.witness}")
-    # Splitting off the leading term s times leaves a part that must meet
-    # the order-(k-s) sign pattern; vet each stage at the necessary tier.
+    # The certified dominant part gives every split stage its order-(k-s)
+    # coefficient pattern; the part after the leading term is spot-checked.
     note = ""
-    for s in range(1, k):
-        rest = PartialFractionSystem(pfs.terms[s:])
-        if rest.is_zero():
-            break
-        check = necessary_coefficients(rest, k - s, "hankel")
-        if not check.ok:
-            raise StructuralError(
-                f"split stage {s} fails the order-{k - s} coefficient "
-                f"pattern at index {check.index}: {check.reason}")
-        if s == 1:
-            _spot_check_compounds(rest, k - 1)
+    if k >= 2:
+        _spot_check_compounds(PartialFractionSystem(pfs.terms[1:]), k - 1)
         note = "split stages vetted at the necessary-condition tier"
     return Decomposition("hankel-additive", dominant, remainder, None, note)
 

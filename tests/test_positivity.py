@@ -167,15 +167,16 @@ class TestCheckToeplitzK:
     def test_k_one_equals_external(self):
         assert check_toeplitz_k(DEMO, 1).verdict == CERTIFIED
 
-    def test_undecidable_zero_test_degrades(self):
+    def test_nearly_cancelling_compound_certified(self):
         # The order-11 compound recombines to a rational form whose pole
-        # and zero near 2.2e-4 nearly cancel; the zero test cannot run.
+        # and zero near 2.2e-4 nearly cancel; its tail-dominance
+        # certificate needs no zero test.
         res = [(-1) ** i * r for i, r in enumerate(spread(12))]
         res[11] = -res[11]
         rep = check_toeplitz_k(even_bank(res), 12)
         assert rep.verdict == REFUTED
         assert rep.witness["kind"] == "negative-sample"
-        assert rep.details[10].verdict == HOLDS
+        assert rep.details[10].verdict == CERTIFIED
 
 
 class TestCompoundRoute:

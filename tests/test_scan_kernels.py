@@ -9,6 +9,7 @@ terms must compare equal with ``==`` and reports by ``repr``.
 import collections
 import itertools
 import math
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -25,8 +26,8 @@ from vardim.lti import (POLE_SEP_TOL, PartialFractionSystem, StateSpace,
 from vardim.positivity import (CERTIFIED, DOMINANCE_MARGIN, EXTERNAL, HOLDS,
                                REFUTED, SAMPLE_TOL, SCAN_BLOCK_BYTES,
                                WITNESS_SEARCH_CAP, PositivityReport, _fmt,
-                               _real_zero_at_or_above, _sample_scale,
-                               _SampleScan, check_external, check_hankel_k)
+                               _sample_scale, _SampleScan, check_external,
+                               check_hankel_k)
 from vardim.signals import Signal
 
 # ---------------------------------------------------------------------------
@@ -106,10 +107,16 @@ def ref_negative_sample(pfs, start, tol):
     weight = math.fsum(abs(r) for r in pfs.residues)
     fir = pfs.fir.trimmed()
     fir_end = fir.support_end if len(fir) else 0
+    # The last t at which max(1, weight) * rho^(t+1) is still a double.
+    last = WITNESS_SEARCH_CAP
+    if rho > 1.0:
+        last = int(math.log(sys.float_info.max / max(1.0, weight))
+                   / math.log(rho)) - 1
     horizon = max(start, 8)
     while horizon <= WITNESS_SEARCH_CAP:
-        g = ref_samples(pfs, horizon)
-        for t in range(horizon + 1):
+        stop = min(horizon, last)
+        g = ref_samples(pfs, stop)
+        for t in range(stop + 1):
             if g[t] < -tol:
                 return (t, g[t])
         if (rho <= 1.0 and horizon > fir_end
@@ -120,7 +127,8 @@ def ref_negative_sample(pfs, start, tol):
 
 
 def ref_check_external(pfs, horizon=64, tol=SAMPLE_TOL) -> PositivityReport:
-    """``check_external`` on a partial-fraction system, scalar scans."""
+    """``check_external`` on a partial-fraction system, scalar scans: the
+    tail-dominance certificate first, then the witness search."""
     theta = tol * ref_scale(pfs) if not pfs.is_zero() else tol
     need = max(horizon, pfs.fir.support_end + 1 if len(pfs.fir) else 1)
     g = ref_samples(pfs, need)
@@ -142,30 +150,9 @@ def ref_check_external(pfs, horizon=64, tol=SAMPLE_TOL) -> PositivityReport:
                         f"{pfs.fir.support_end}")
     r1, p1 = pfs.terms[0]
     rest = pfs.terms[1:]
-    suspicious = None
-    if p1 < 0 or r1 < 0:
-        suspicious = {"kind": "dominant-structure",
-                      "reason": ("dominant pole negative" if p1 < 0 else
-                                 "dominant residue nonpositive"),
-                      "pole": p1, "residue": r1}
-    else:
-        try:
-            zero = _real_zero_at_or_above(pfs, p1)
-        except ValueError:
-            return PositivityReport(EXTERNAL, 1, HOLDS, horizon, t0=t0)
-        if zero is not None:
-            suspicious = {"kind": "real-zero-dominates", "zero": zero,
-                          "pole": p1}
-    if suspicious is not None:
-        found = ref_negative_sample(pfs, need, theta)
-        if found:
-            suspicious.update({"time": found[0], "value": found[1]})
-            return PositivityReport(EXTERNAL, 1, REFUTED, horizon, t0=t0,
-                                    witness=suspicious)
-        return PositivityReport(EXTERNAL, 1, HOLDS, horizon, t0=t0)
     strict = all(p1 - abs(p) > DOMINANCE_MARGIN * max(1.0, p1)
                  for _, p in rest)
-    if strict and p1 > 0:
+    if strict and p1 > 0 and r1 > 0:
         fir_end = pfs.fir.trimmed().support_end if len(pfs.fir.trimmed()) \
             else 0
         for t_star in range(max(1, fir_end + 1), need + 1):
@@ -178,7 +165,18 @@ def ref_check_external(pfs, horizon=64, tol=SAMPLE_TOL) -> PositivityReport:
                     certificate=(f"tail dominance from t={t_star}: "
                                  f"{_fmt(lead)} > {_fmt(tail)} and samples "
                                  f"nonnegative up to t={t_star}"))
-    return PositivityReport(EXTERNAL, 1, HOLDS, horizon, t0=t0)
+    found = ref_negative_sample(pfs, need, theta)
+    if not found:
+        return PositivityReport(EXTERNAL, 1, HOLDS, horizon, t0=t0)
+    witness = {"kind": "negative-sample"}
+    if p1 < 0 or r1 < 0:
+        witness = {"kind": "dominant-structure",
+                   "reason": ("dominant pole negative" if p1 < 0 else
+                              "dominant residue nonpositive"),
+                   "pole": p1, "residue": r1}
+    witness.update({"time": found[0], "value": found[1]})
+    return PositivityReport(EXTERNAL, 1, REFUTED, horizon, t0=t0,
+                            witness=witness)
 
 
 def outcome(fn, *args, **kwargs):
