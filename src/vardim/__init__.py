@@ -18,10 +18,10 @@ from .lti import (PartialFractionSystem, RationalTransferFunction,
                   hankel_matrix, impulse_response, partial_fractions,
                   polynomial_roots, recombine, rtf_to_state_space,
                   to_state_space, toeplitz_matrix, zeros)
-from .totpos import (BruteForceVerdict, IndexTuple, KPositivityVerdict,
-                     MinorReport, compound_matrix, desnanot_jacobi_residual,
+from .totpos import (IndexTuple, KPositivityVerdict, MinorReport,
+                     compound_matrix, desnanot_jacobi_residual,
                      enumerate_tuples, is_k_positive, is_pd, is_psd,
-                     matrix_rank, minor, ovd_matrix_bruteforce)
+                     matrix_rank, minor)
 from .compound import (compound_impulse, compound_realization,
                        compound_transfer, reversal_sign, toeplitz_minor)
 from .positivity import (CERTIFIED, HOLDS, REFUTED, UNSUPPORTED,
@@ -36,8 +36,8 @@ from .oracle import (HeavyBallScenario, NeuronalCondition, OperatorTruncation,
                      OvdReport, OvdViolation, ScenarioResult,
                      apply_hankel, apply_nonlinearity, apply_toeplitz,
                      demo_system, hankel_truncation, heavy_ball,
-                     neuronal_condition, ovd_verify, run_scenario,
-                     toeplitz_truncation)
+                     neuronal_condition, ovd_matrix, ovd_verify,
+                     run_scenario, toeplitz_truncation)
 from .sysfile import load_system, parse_system, serialize_system
 
 __version__ = "0.1.0"

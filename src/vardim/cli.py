@@ -15,14 +15,14 @@ from .errors import (ParseError, StructuralError,
                      UnsupportedRepresentationError, VardimError)
 from .lti import (DEFAULT_HORIZON, PartialFractionSystem, canonical,
                   impulse_response, recombine)
-from .oracle import (SCENARIOS, heavy_ball, ovd_verify, run_scenario)
+from .oracle import (DEFAULT_SEED, SCENARIOS, heavy_ball, ovd_verify,
+                     run_scenario)
 from .positivity import (CERTIFIED, HOLDS, REFUTED, UNSUPPORTED,
                          check_external, check_hankel_k, check_hankel_total,
                          check_toeplitz_k, check_toeplitz_total,
                          hankel_decompose, render_report, toeplitz_decompose)
 from .signals import forward_difference
 from .sysfile import format_float as _fmt, load_system, serialize_system
-from .totpos import DEFAULT_SEED
 
 EXIT_OK = 0
 EXIT_PARSE = 2

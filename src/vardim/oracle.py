@@ -17,11 +17,16 @@ from .lti import (PartialFractionSystem, RationalTransferFunction,
                   impulse_response)
 from .positivity import (CERTIFIED, PositivityReport, check_toeplitz_total)
 from .signals import (ZERO_TOL, Signal, first_nonzero_sign,
-                      forward_difference, variation)
-from .totpos import (DEFAULT_SEED, OVD_BLOCK, candidate_rows, lattice_codes,
-                     output_signs, sample_blocks)
+                      forward_difference, row_variations, variation)
+from .totpos import matrix_rank
 
+# Hard cap on the lattice points of a brute-force check.
 ENUM_CAP = 3 ** 9
+DEFAULT_SEED = 0x5EED
+# Candidate inputs per product in the brute-force oracle: enough rows to
+# amortise one matrix product, few enough to bound peak memory whatever the
+# lattice or sample count.
+OVD_BLOCK = 2048
 
 # The three-lag demo system: two excitatory channels and one weak
 # inhibitory channel, each a first-order lag.
@@ -211,6 +216,63 @@ def _impulse_for(sys, kind: str, L: int, N: int) -> Signal:
     return impulse_response(sys, need)
 
 
+def lattice_codes(size: int, length: int, start: int,
+                  stop: int) -> np.ndarray:
+    """Digit codes of the points start..stop-1 of the lattice
+    ``range(size) ** length``, in ``itertools.product`` order, computed
+    ``OVD_BLOCK`` points at a time."""
+    powers = size ** np.arange(length - 1, -1, -1, dtype=np.int64)
+    codes = np.empty((stop - start, length),
+                     dtype=np.min_scalar_type(max(size - 1, 0)))
+    for lo in range(start, stop, OVD_BLOCK):
+        hi = min(lo + OVD_BLOCK, stop)
+        codes[lo - start:hi - start] = (
+            np.arange(lo, hi, dtype=np.int64)[:, None] // powers % size)
+    return codes
+
+
+def sample_blocks(samples: int, seed: int, length: int):
+    """``samples`` seeded uniform inputs on [-1, 1]^length, ``OVD_BLOCK``
+    rows at a time; the values are those of drawing one input at a time
+    from the same stream."""
+    if samples > 0:
+        rng = np.random.default_rng(seed)
+        for start in range(0, samples, OVD_BLOCK):
+            yield rng.uniform(-1.0, 1.0,
+                              size=(min(OVD_BLOCK, samples - start), length))
+
+
+def candidate_rows(U: np.ndarray, max_variation: int,
+                   zero_tol: float) -> tuple:
+    """Rows of U with at most ``max_variation`` sign changes and a sample
+    above ``zero_tol``, with their variations and leading signs."""
+    su, fu = row_variations(U, zero_tol)
+    rows = np.flatnonzero((su <= max_variation)
+                          & (np.abs(U) > zero_tol).any(axis=1))
+    return rows, su[rows], fu[rows]
+
+
+def output_signs(X: np.ndarray, U: np.ndarray, eff_tol: float) -> tuple:
+    """Variation and leading sign of ``X @ u`` for every row u of U.
+
+    The block takes one matrix product, whose rows may round differently
+    from the per-vector product ``X @ u``.  Both lie within the dot-product
+    error bound of the exact value, so a row with an output within twice
+    that bound of +-eff_tol is recomputed per vector: no sign then depends
+    on the blocking.
+    """
+    Y = U @ X.T
+    L = U.shape[1]
+    bound = (2 * L * L * np.finfo(float).eps * np.abs(X).max(initial=1.0)
+             * np.abs(U).max(initial=0.0) + np.finfo(float).tiny)
+    lo, hi = abs(eff_tol) - bound, abs(eff_tol) + bound
+    A = np.abs(Y)
+    near = (A >= lo) & (A <= hi)
+    for r in np.flatnonzero(near.any(axis=1)):
+        Y[r] = X @ np.array(U[r])
+    return row_variations(Y, eff_tol)
+
+
 @functools.lru_cache(maxsize=8)
 def _lattice_candidates(alpha: tuple, length: int, zero_tol: float,
                         k: int) -> tuple:
@@ -257,53 +319,49 @@ def _candidate_blocks(extras: list, alpha: list, length: int, k: int,
                lambda js, U=U[rows]: list(map(tuple, U[js].tolist())))
 
 
-def ovd_verify(sys, kind: str, k: int, input_length: int, output_length: int,
-               alphabet: Sequence[float] = (-1, 0, 1), samples: int = 0,
-               seed: int = DEFAULT_SEED, extra_inputs: Sequence = (),
+def ovd_matrix(matrix, k: int, alphabet: Sequence[float] = (-1, 0, 1),
+               samples: int = 0, seed: int = DEFAULT_SEED,
+               extra_inputs: Sequence = (),
                stop_at: Optional[int] = None) -> OvdReport:
     """Brute-force check that inputs with at most k-1 sign changes map to
-    outputs with no more sign changes under the truncated operator.
+    outputs with no more sign changes under ``matrix``.
 
     When the variation is attained, 0 included, the leading nonzero signs
     must agree; order violations are recorded separately so the two
     readings of the property can be distinguished.  Candidates run in
-    deterministic order: injected vectors (at most ``input_length``
-    samples each), the lattice, then seeded uniform samples.  They are
+    deterministic order: injected vectors (at most one sample per matrix
+    column each, zero-padded), the lattice ``alphabet ** columns`` (at
+    most ``ENUM_CAP`` points), then seeded uniform samples.  They are
     checked ``OVD_BLOCK`` at a time, one matrix product per block.  The
     lattice candidates of each k (inputs, variations, leading signs) are
     cached read-only per alphabet and length, so the lattice runs as
     full blocks.  Each block keeps its hits; the report builds the
     violations from them only when they are read.
     """
-    if kind not in ("hankel", "toeplitz"):
-        raise ValueError(f"unknown operator kind {kind!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    if output_length < 1:
-        raise ValueError("output length must be >= 1")
+    # A private copy: the report builds its violations from it later.
+    X = np.array(matrix, dtype=float, ndmin=2)
+    length = X.shape[1]
     alpha = sorted(set(float(a) for a in alphabet))
-    if len(alpha) ** input_length > ENUM_CAP:
+    if len(alpha) ** length > ENUM_CAP:
         raise BudgetExceededError(
-            f"{len(alpha)}^{input_length} lattice inputs exceed the budget")
+            f"{len(alpha)}^{length} lattice inputs exceed the budget")
     extras = [tuple(float(v) for v in u) for u in extra_inputs]
     for u in extras:
-        if len(u) > input_length:
+        if len(u) > length:
             raise ValueError(f"extra input {u} is longer than the input "
-                             f"length {input_length}")
-    g = _impulse_for(sys, kind, input_length, output_length)
-    build = hankel_truncation if kind == "hankel" else toeplitz_truncation
-    trunc = build(g, input_length, output_length)
-    rank = int(np.linalg.matrix_rank(trunc.matrix))
-    scale = float(np.abs(trunc.matrix).max(initial=1.0))
-    eff_tol = ZERO_TOL * scale
+                             f"length {length}")
+    rank = matrix_rank(X)
+    eff_tol = ZERO_TOL * float(np.abs(X).max(initial=1.0))
 
     blocks = []
     checked = 0
     for U, su, fu, inputs_of in _candidate_blocks(
-            extras, alpha, input_length, k, samples, seed):
+            extras, alpha, length, k, samples, seed):
         if not len(U):
             continue
-        sy, fy = output_signs(trunc.matrix, U, eff_tol)
+        sy, fy = output_signs(X, U, eff_tol)
         grew = sy > su
         hits = np.flatnonzero(grew | ((sy == su) & (fy != 0) & (fy != fu)))
         # The scan stops right after the candidate that brings the
@@ -323,8 +381,25 @@ def ovd_verify(sys, kind: str, k: int, input_length: int, output_length: int,
             checked += int(last) + 1
             break
         checked += len(U)
-    return OvdReport(not blocks, _Violations(trunc.matrix, blocks), checked,
-                     rank)
+    return OvdReport(not blocks, _Violations(X, blocks), checked, rank)
+
+
+def ovd_verify(sys, kind: str, k: int, input_length: int, output_length: int,
+               alphabet: Sequence[float] = (-1, 0, 1), samples: int = 0,
+               seed: int = DEFAULT_SEED, extra_inputs: Sequence = (),
+               stop_at: Optional[int] = None) -> OvdReport:
+    """``ovd_matrix`` on the truncated Hankel or Toeplitz operator of a
+    system (or of an impulse response given as a ``Signal``) that maps
+    ``input_length`` input samples to ``output_length`` output samples."""
+    if kind not in ("hankel", "toeplitz"):
+        raise ValueError(f"unknown operator kind {kind!r}")
+    if output_length < 1:
+        raise ValueError("output length must be >= 1")
+    g = _impulse_for(sys, kind, input_length, output_length)
+    build = hankel_truncation if kind == "hankel" else toeplitz_truncation
+    trunc = build(g, input_length, output_length)
+    return ovd_matrix(trunc.matrix, k, alphabet, samples, seed, extra_inputs,
+                      stop_at)
 
 
 _BUILTIN_NONLINEARITIES = {

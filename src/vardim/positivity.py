@@ -299,15 +299,25 @@ class _SampleScan:
         return t0, None, t_star
 
 
+def _finite_stop(pfs: PartialFractionSystem, stop: int) -> int:
+    """``stop``, or with rho > 1 the last t at which max(1, sum|r|)
+    rho^(t+1) is below the largest double if that comes first, so that
+    every power, term and sum of the samples up to it is finite."""
+    rho = float(np.abs(pfs.arrays[1]).max(initial=0.0))
+    if rho <= 1.0:
+        return stop
+    weight = math.fsum(np.abs(pfs.arrays[0]).tolist())
+    return min(stop, int(math.log(float_info.max / max(1.0, weight))
+                         / math.log(rho)) - 1)
+
+
 def _witness_horizon(pfs: PartialFractionSystem, start: int,
                      tol: float) -> int:
     """Last sample the witness search examines: the first of the horizons
     max(start, 8) * 4**i (up to ``WITNESS_SEARCH_CAP``) at which the bound
     sum|r| rho^(t-1) is at most tol/2, past the FIR support with rho <= 1
     (no later sample can then fall below -tol), else the last of them, or
-    0 when even the first exceeds the cap.  With rho > 1 it stops by the
-    last t at which max(1, sum|r|) rho^(t+1) is below the largest double,
-    so every power, term and sum the search evaluates is finite."""
+    0 when even the first exceeds the cap; never past ``_finite_stop``."""
     rho = max((abs(p) for p in pfs.poles), default=0.0)
     weight = math.fsum(np.abs(pfs.arrays[0]).tolist())
     fir = pfs.fir.trimmed()
@@ -320,23 +330,21 @@ def _witness_horizon(pfs: PartialFractionSystem, start: int,
                 and weight * rho ** (horizon - 1) <= tol / 2):
             break
         horizon *= 4
-    if rho > 1.0:
-        last = min(last, int(math.log(float_info.max / max(1.0, weight))
-                             / math.log(rho)) - 1)
-    return last
+    return _finite_stop(pfs, last)
 
 
 def check_external(sys, horizon: int = DEFAULT_HORIZON) -> PositivityReport:
     """Three-tier external positivity check.
 
     The samples of a partial-fraction system up to the horizon are scanned
-    first, and a negative one refutes.  A strictly dominant simple real
-    pole with a positive leading residue earns a geometric tail certificate
-    as soon as the scan finds the time t* from which the leading term
-    outweighs the others.  Without a certificate the search for a negative
-    sample goes on past the horizon: negative or sign-alternating dominant
-    dynamics, or a real zero at or above the dominant pole, force one at
-    finite time.  It refutes with the sample it finds (witness kind
+    first, and a negative one refutes; on unstable systems the scan stops
+    at the last sample that is still a finite double.  A strictly dominant
+    simple real pole with a positive leading residue earns a geometric tail
+    certificate as soon as the scan finds the time t* from which the
+    leading term outweighs the others.  Without a certificate the search
+    for a negative sample goes on past the horizon: negative or
+    sign-alternating dominant dynamics, or a real zero at or above the
+    dominant pole, force one at finite time.  It refutes with the sample it finds (witness kind
     ``dominant-structure`` for a negative dominant pole or residue,
     ``negative-sample`` otherwise), or ends ``holds-to-horizon``.  Systems
     convertible only to state-space or rational form are sampled.
@@ -356,14 +364,15 @@ def check_external(sys, horizon: int = DEFAULT_HORIZON) -> PositivityReport:
                 p1 - np.abs(poles[1:]) > DOMINANCE_MARGIN * max(1.0, p1))):
             dominance_from = max(1, fir_end + 1)
     scan = _SampleScan(pfs, theta)
-    t0, neg, t_star = scan.run(need, dominance_from=dominance_from)
+    stop = _finite_stop(pfs, need)
+    t0, neg, t_star = scan.run(stop, dominance_from=dominance_from)
     if neg is not None:
         return PositivityReport(
             EXTERNAL, 1, REFUTED, horizon, t0=t0,
             witness={"kind": "negative-sample", "time": neg,
                      "value": scan.sample(neg)})
 
-    if pfs.is_zero() or t0 is None:
+    if pfs.is_zero() or (t0 is None and stop == need):
         return PositivityReport(
             EXTERNAL, 1, CERTIFIED, horizon, t0=t0,
             certificate="impulse response identically zero")
@@ -428,13 +437,16 @@ def check_hankel_k(sys, k: int,
     Applies the finite reduction: the order-(k-1) windows at offsets 1 and
     2 must be positive (semi)definite and the k-th compound system must be
     externally positive.  Verdict is the worst sub-verdict.  For k above
-    the order of the canonical form (modes without residue dropped) the
-    total-positivity characterization is used.
+    the order of the canonical form (modes without residue dropped), and
+    for partial-fraction inputs that it certifies, the total-positivity
+    characterization is used: it reads their residues and poles as given,
+    so its sign test is exact for them.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     form = canonical(sys)
-    if k > form.order:
+    if k > form.order or (isinstance(sys, PartialFractionSystem) and
+                          check_hankel_total(form).verdict == CERTIFIED):
         return replace(check_hankel_total(form, horizon),
                        property_name=HANKEL_K, k=k)
 
@@ -478,7 +490,8 @@ def check_toeplitz_k(sys, k: int,
     Requires the (k-1)-th largest pole to be nonzero (otherwise the finite
     reduction does not apply and the verdict is ``unsupported``).  Checks
     that the sign-adjusted compounds of orders 1..k are externally positive
-    and that the initial Toeplitz windows are strictly positive.
+    and that the initial Toeplitz windows are strictly positive; t0 is that
+    of the order-1 compound, the system itself.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -489,27 +502,28 @@ def check_toeplitz_k(sys, k: int,
         if idx > len(poles) or abs(poles[idx - 1]) <= SAMPLE_TOL:
             return PositivityReport(TOEPLITZ_K, k, UNSUPPORTED, horizon)
 
-    need = max(horizon, 4 * k + 4)
-    g = impulse_response(form, need)
-    theta = SAMPLE_TOL * max(1.0, float(np.max(np.abs(g.to_array()))))
-    t0 = _first_nonzero_time(g, theta)
-    if t0 is None:
-        return PositivityReport(TOEPLITZ_K, k, CERTIFIED, horizon, t0=None,
-                                certificate="impulse response identically "
-                                            "zero")
-
     details = []
     witness = None
     verdicts = []
     for j in range(1, k + 1):
         sub = _compound_external(form, j, horizon, reversal_sign(j))
+        if j == 1 and sub.t0 is None:
+            # No sample rises above the zero level.  Only a certified
+            # order-1 check has shown the response to be zero.
+            return PositivityReport(
+                TOEPLITZ_K, k, sub.verdict, horizon, t0=None,
+                certificate=("impulse response identically zero"
+                             if sub.verdict == CERTIFIED else None))
         details.append(sub)
         verdicts.append(sub.verdict)
         if sub.verdict == REFUTED and witness is None:
             witness = dict(sub.witness) if sub.witness else {}
             witness["compound-order"] = j
 
-    initial = _initial_window_witness(g, k, t0)
+    t0 = details[0].t0
+    # The windows below read the samples up to t = 2k - 4 only.
+    initial = _initial_window_witness(
+        impulse_response(form, max(1, 2 * k - 4)), k, t0)
     if initial is not None:
         verdicts.append(REFUTED)
         if witness is None:

@@ -1,16 +1,15 @@
-"""Finite-matrix total positivity: minors, compounds and brute-force checks."""
+"""Finite-matrix total positivity: minors, compounds, definiteness and rank."""
 
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .errors import BudgetExceededError
-from .signals import ZERO_TOL, row_variations
 
 # Relative threshold below which a minor counts as zero.
 MINOR_TOL = 1e-9
@@ -21,13 +20,6 @@ RANK_TOL = 1e-10
 SYMMETRY_TOL = 1e-9
 # Hard cap on exhaustive minor scans.
 MINOR_SCAN_CAP = 10 ** 6
-# Hard cap on brute-force input enumeration.
-ENUM_CAP = 2 ** 24
-DEFAULT_SEED = 0x5EED
-# Candidate inputs per product in the brute-force oracles: enough rows to
-# amortise one matrix product, few enough to bound peak memory whatever the
-# lattice or sample count.
-OVD_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -250,123 +242,3 @@ def matrix_rank(X) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > RANK_TOL * s[0]))
-
-
-@dataclass(frozen=True)
-class BruteForceVerdict:
-    """Result of the exhaustive variation-diminishing check."""
-
-    passed: bool
-    counterexample: Optional[tuple]
-    output: Optional[tuple]
-    reason: Optional[str]
-    inputs_checked: int
-    rank: int
-
-
-def lattice_codes(size: int, length: int, start: int,
-                  stop: int) -> np.ndarray:
-    """Digit codes of the points start..stop-1 of the lattice
-    ``range(size) ** length``, in ``itertools.product`` order, computed
-    ``OVD_BLOCK`` points at a time."""
-    powers = size ** np.arange(length - 1, -1, -1, dtype=np.int64)
-    codes = np.empty((stop - start, length),
-                     dtype=np.min_scalar_type(max(size - 1, 0)))
-    for lo in range(start, stop, OVD_BLOCK):
-        hi = min(lo + OVD_BLOCK, stop)
-        codes[lo - start:hi - start] = (
-            np.arange(lo, hi, dtype=np.int64)[:, None] // powers % size)
-    return codes
-
-
-def sample_blocks(samples: int, seed: int, length: int):
-    """``samples`` seeded uniform inputs on [-1, 1]^length, ``OVD_BLOCK``
-    rows at a time; the values are those of drawing one input at a time
-    from the same stream."""
-    if samples > 0:
-        rng = np.random.default_rng(seed)
-        for start in range(0, samples, OVD_BLOCK):
-            yield rng.uniform(-1.0, 1.0,
-                              size=(min(OVD_BLOCK, samples - start), length))
-
-
-def candidate_rows(U: np.ndarray, max_variation: int,
-                   zero_tol: float) -> tuple:
-    """Rows of U with at most ``max_variation`` sign changes and a sample
-    above ``zero_tol``, with their variations and leading signs."""
-    su, fu = row_variations(U, zero_tol)
-    rows = np.flatnonzero((su <= max_variation)
-                          & (np.abs(U) > zero_tol).any(axis=1))
-    return rows, su[rows], fu[rows]
-
-
-def output_signs(X: np.ndarray, U: np.ndarray, eff_tol: float) -> tuple:
-    """Variation and leading sign of ``X @ u`` for every row u of U.
-
-    The block takes one matrix product, whose rows may round differently
-    from the per-vector product ``X @ u``.  Both lie within the dot-product
-    error bound of the exact value, so a row with an output within twice
-    that bound of +-eff_tol is recomputed per vector: no sign then depends
-    on the blocking.
-    """
-    Y = U @ X.T
-    L = U.shape[1]
-    bound = (2 * L * L * np.finfo(float).eps * np.abs(X).max(initial=1.0)
-             * np.abs(U).max(initial=0.0) + np.finfo(float).tiny)
-    lo, hi = abs(eff_tol) - bound, abs(eff_tol) + bound
-    A = np.abs(Y)
-    near = (A >= lo) & (A <= hi)
-    for r in np.flatnonzero(near.any(axis=1)):
-        Y[r] = X @ np.array(U[r])
-    return row_variations(Y, eff_tol)
-
-
-def ovd_matrix_bruteforce(X, k: int, alphabet: Sequence[float] = (-1, 0, 1),
-                          require_order: bool = True, samples: int = 0,
-                          seed: int = DEFAULT_SEED) -> BruteForceVerdict:
-    """Enumerate inputs with at most k sign changes and verify that the
-    matrix diminishes variation (and preserves the leading sign when the
-    variation is attained).
-
-    The lattice ``alphabet**m`` is scanned in lexicographic order, then
-    ``samples`` seeded uniform real inputs; the first violation in that
-    order is reported.  Inputs run in blocks of ``OVD_BLOCK``.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    m = X.shape[1]
-    alpha = sorted(set(float(a) for a in alphabet))
-    size = len(alpha) ** m
-    if size > ENUM_CAP:
-        raise BudgetExceededError(
-            f"{len(alpha)}^{m} inputs exceed the enumeration budget")
-    rank = matrix_rank(X)
-    bound_cap = rank - 1
-    scale = max(1.0, float(np.max(np.abs(X))) if X.size else 0.0)
-    eff_tol = ZERO_TOL * scale
-    values = np.array(alpha)
-
-    def blocks():
-        """(block, input tuple of a block row) in candidate order."""
-        for start in range(0, size, OVD_BLOCK):
-            codes = lattice_codes(len(alpha), m, start,
-                                  min(start + OVD_BLOCK, size))
-            yield values[codes], lambda row: tuple(row.tolist())
-        for U in sample_blocks(samples, seed, m):
-            yield U, tuple
-
-    checked = 0
-    for U, as_input in blocks():
-        rows, su, fu = candidate_rows(U, k, ZERO_TOL)
-        sy, fy = output_signs(X, U[rows], eff_tol)
-        grew = sy > np.minimum(bound_cap, su)
-        flipped = (sy == su) & (fy != 0) & (fy != fu)
-        hits = np.flatnonzero(grew | flipped if require_order else grew)
-        if hits.size:
-            j = hits[0]
-            u = as_input(U[rows[j]])
-            reason = (f"variation grew: {su[j]} -> {sy[j]}" if grew[j]
-                      else "leading sign flipped")
-            return BruteForceVerdict(False, u, tuple(X @ np.asarray(u)),
-                                     reason, checked + int(j) + 1, rank)
-        checked += rows.size
-    return BruteForceVerdict(True, None, None, None, checked, rank)

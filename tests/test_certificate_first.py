@@ -5,6 +5,9 @@ Serial cascades given as num/den or as a companion state space are
 certified as their pole/residue form is, the witness search stays within
 the doubles on unstable systems, and every certificate that the order of
 the two steps newly issues passes the brute-force oracle.
+
+The scan up to the horizon also stops at the last sample that is a finite
+double.
 """
 
 import numpy as np
@@ -17,7 +20,7 @@ from test_cli_golden import SYSTEMS
 from vardim.errors import UnsupportedRepresentationError
 from vardim.lti import PartialFractionSystem, RationalTransferFunction
 from vardim.oracle import ovd_verify
-from vardim.positivity import (CERTIFIED, HOLDS, PositivityReport,
+from vardim.positivity import (CERTIFIED, HOLDS, REFUTED, PositivityReport,
                                check_external, check_toeplitz_k)
 from vardim.sysfile import parse_system
 
@@ -38,6 +41,27 @@ class TestUnstableWitnessSearch:
         assert check_toeplitz_k(pfs, 2).verdict == CERTIFIED
         for length in (6, 9):
             assert ovd_verify(pfs, "toeplitz", 2, length, length).passed
+
+    def test_scan_to_the_horizon_stays_finite(self):
+        # 1e10^t leaves the doubles at t = 31, inside the horizon 64.
+        big = ((1.0, 1e10),)
+        for terms in (big, big + ((0.5, 0.3),), big + ((-0.5, 1e9),)):
+            rep = check_external(PartialFractionSystem(terms))
+            assert rep.verdict == CERTIFIED and rep.t0 == 1
+        mixed = PartialFractionSystem(big + ((-0.5, 1e9),))
+        assert check_toeplitz_k(mixed, 2).verdict == CERTIFIED
+        assert check_toeplitz_k(mixed, 3).verdict == REFUTED
+        # g(1) = 0, and g(2) is already beyond the last finite sample
+        # bound: no sample was seen, so nothing is certified.
+        cut = PartialFractionSystem(((1.0, 1e200), (-1.0, 2.0)))
+        for rep in (check_external(cut), check_toeplitz_k(cut, 1)):
+            assert rep.verdict == HOLDS and rep.t0 is None
+
+    def test_toeplitz_t0_is_the_first_nonzero_sample(self):
+        pfs = PartialFractionSystem(((1.0, 2.0), (-1.0, 1.0), (-1.0, 0.6),
+                                     (1.0, -0.4)))
+        rep = check_toeplitz_k(pfs, 2)
+        assert rep.t0 == rep.details[0].t0 == 3
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.floats(-2.0, 2.0), st.one_of(

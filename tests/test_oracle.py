@@ -12,35 +12,34 @@ from vardim.lti import (PartialFractionSystem, RationalTransferFunction,
                         impulse_response)
 from vardim.oracle import (DEFAULT_SEED, DEMO_FUTURE_GROWTH,
                            DEMO_PAST_DIMINISH, DEMO_PAST_ORDER_FLIP,
-                           ENUM_CAP, OvdReport, OvdViolation, _impulse_for,
-                           _lattice_candidates, apply_hankel,
+                           ENUM_CAP, OVD_BLOCK, OvdReport, OvdViolation,
+                           _impulse_for, _lattice_candidates, apply_hankel,
                            apply_nonlinearity, apply_toeplitz, demo_system,
                            hankel_truncation, heavy_ball, neuronal_condition,
-                           ovd_verify, run_scenario, toeplitz_truncation)
+                           ovd_matrix, ovd_verify, run_scenario,
+                           toeplitz_truncation)
 from vardim.positivity import (CERTIFIED, REFUTED, check_hankel_k,
                                check_toeplitz_k)
 from vardim.signals import (Signal, first_nonzero_sign, forward_difference,
                             variation)
 from vardim.sysfile import serialize_system
-from vardim.totpos import OVD_BLOCK
+from vardim.totpos import matrix_rank
 
 DEMO = demo_system()
 
 
-def scalar_ovd_verify(sys, kind, k, input_length, output_length,
-                      alphabet=(-1, 0, 1), samples=0, seed=DEFAULT_SEED,
-                      extra_inputs=(), zero_tol=1e-12, stop_at=None):
-    """Reference: ``ovd_verify`` one candidate at a time, through the
+def scalar_ovd_matrix(X, k, alphabet=(-1, 0, 1), samples=0,
+                      seed=DEFAULT_SEED, extra_inputs=(), zero_tol=1e-12,
+                      stop_at=None):
+    """Reference: ``ovd_matrix`` one candidate at a time, through the
     scalar ``variation`` and ``first_nonzero_sign``."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    input_length = X.shape[1]
     alpha = sorted(set(float(a) for a in alphabet))
     if len(alpha) ** input_length > ENUM_CAP:
         raise BudgetExceededError("lattice too large")
-    g = _impulse_for(sys, kind, input_length, output_length)
-    build = hankel_truncation if kind == "hankel" else toeplitz_truncation
-    trunc = build(g, input_length, output_length)
-    rank = int(np.linalg.matrix_rank(trunc.matrix))
-    scale = float(np.abs(trunc.matrix).max(initial=1.0))
-    eff_tol = zero_tol * scale
+    rank = matrix_rank(X)
+    eff_tol = zero_tol * float(np.abs(X).max(initial=1.0))
 
     def candidates():
         for u in extra_inputs:
@@ -64,7 +63,7 @@ def scalar_ovd_verify(sys, kind, k, input_length, output_length,
         if not np.any(np.abs(uv) > zero_tol):
             continue
         checked += 1
-        y = trunc.matrix @ uv
+        y = X @ uv
         sy = variation(y, eff_tol)
         if sy > su:
             violations.append(OvdViolation("variation", u, tuple(y), su, sy))
@@ -75,6 +74,14 @@ def scalar_ovd_verify(sys, kind, k, input_length, output_length,
         if stop_at is not None and len(violations) >= stop_at:
             break
     return OvdReport(not violations, tuple(violations), checked, rank)
+
+
+def scalar_ovd_verify(sys, kind, k, input_length, output_length, **kw):
+    """Reference: ``ovd_verify`` through ``scalar_ovd_matrix``."""
+    g = _impulse_for(sys, kind, input_length, output_length)
+    build = hankel_truncation if kind == "hankel" else toeplitz_truncation
+    return scalar_ovd_matrix(build(g, input_length, output_length).matrix, k,
+                             **kw)
 
 
 def assert_same_report(got, want):
@@ -249,6 +256,8 @@ class TestOvdVerify:
         with pytest.raises(BudgetExceededError):
             ovd_verify(DEMO, "hankel", 2, 12, 8,
                        alphabet=(-2, -1, 0, 1, 2))
+        with pytest.raises(BudgetExceededError):
+            ovd_matrix(np.eye(10), 2)
 
     def test_random_sampling_is_seeded(self):
         a = ovd_verify(DEMO, "hankel", 2, 4, 8, samples=50, seed=0xABC)

@@ -1,13 +1,17 @@
 """Oracle parity: verdicts, counts and first violations of ``ovd_verify``
-and ``ovd_matrix_bruteforce`` on fixed inputs.
+and ``ovd_matrix`` on fixed inputs.
 
-The expected results in ``data/oracle_golden.json`` were recorded before
-``ovd_verify`` applied its order rule at a variation count of 0 and before
-its lattice candidates were built block by block.  Every system here has a
-nonnegative impulse response, so neither change may move a result.  Output
-floats are left out: they come from BLAS and may differ across machines.
-Regenerate with ``PYTHONPATH=src python tests/test_oracle_golden.py`` only
-when a behaviour change is intended.
+The expected ``ovd_verify`` results in ``data/oracle_golden.json`` were
+recorded before ``ovd_verify`` applied its order rule at a variation count
+of 0 and before its lattice candidates were built block by block.  Every
+system here has a nonnegative impulse response, so neither change may move
+a result.  The ``matrix/`` results were recorded when ``ovd_matrix``
+replaced the matrix oracle that allowed k sign changes; each keeps the
+verdict and rank that oracle gave at k - 1, with (``order=True``) and
+without (``order=False``) the leading-sign clause.  Output floats are left
+out: they come from BLAS and may differ across machines.  Regenerate with
+``PYTHONPATH=src python tests/test_oracle_golden.py`` only when a
+behaviour change is intended.
 """
 
 import json
@@ -18,8 +22,7 @@ import pytest
 
 from vardim.lti import (PartialFractionSystem, RationalTransferFunction,
                         partial_fractions)
-from vardim.oracle import demo_system, ovd_verify
-from vardim.totpos import ovd_matrix_bruteforce
+from vardim.oracle import OvdReport, demo_system, ovd_matrix, ovd_verify
 
 GOLDEN = Path(__file__).with_name("data") / "oracle_golden.json"
 FIRST = 8
@@ -92,16 +95,14 @@ def matrices():
 def matrix_records() -> dict:
     out = {}
     for name, X in matrices().items():
-        for k in (1, 2, 3):
-            for order in (True, False):
-                v = ovd_matrix_bruteforce(X, k, require_order=order,
-                                          samples=64)
-                out[f"matrix/{name}/k={k}/order={order}"] = {
-                    "passed": v.passed,
-                    "counterexample": (None if v.counterexample is None
-                                       else list(v.counterexample)),
-                    "reason": v.reason, "inputs_checked": v.inputs_checked,
-                    "rank": v.rank}
+        for k in (2, 3, 4):
+            rep = ovd_matrix(X, k, samples=64)
+            # The same run read without the leading-sign clause.
+            lax = OvdReport(rep.passed_variation_only,
+                            rep.variation_violations, rep.inputs_checked,
+                            rep.rank)
+            for order, r in ((True, rep), (False, lax)):
+                out[f"matrix/{name}/k={k}/order={order}"] = verify_record(r)
     return out
 
 
@@ -126,7 +127,7 @@ def test_ovd_verify_unchanged(golden, name):
     assert system_records(name, systems()[name]) == recorded(golden, name)
 
 
-def test_ovd_matrix_bruteforce_unchanged(golden):
+def test_ovd_matrix_unchanged(golden):
     assert matrix_records() == recorded(golden, "matrix")
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -145,6 +146,20 @@ class TestCheckHankelK:
         rep = check_hankel_k(ALTERNATING, 2)
         assert rep.witness is not None
 
+    def test_positive_partial_fractions_certified_by_residue_signs(self):
+        # The leading windows of these banks are too ill-conditioned for
+        # is_pd, which refuted every one of them.
+        rng = np.random.default_rng(0)
+        for n, k in ((8, 7), (10, 10), (12, 12), (16, 8), (16, 16)):
+            bank = even_bank(rng.uniform(0.2, 1.0, n).tolist())
+            rep = check_hankel_k(bank, k)
+            assert rep == replace(check_hankel_total(bank),
+                                  property_name="hankel-k", k=k)
+            assert rep.verdict == CERTIFIED
+        # Other forms keep the windows and the compound check.
+        rep = check_hankel_k(recombine(PARALLEL), 2)
+        assert rep.verdict == CERTIFIED and len(rep.details) == 1
+
 
 class TestCheckToeplitzK:
     def test_demo_refuted_at_two(self):
@@ -166,6 +181,16 @@ class TestCheckToeplitzK:
 
     def test_k_one_equals_external(self):
         assert check_toeplitz_k(DEMO, 1).verdict == CERTIFIED
+
+    def test_zero_level_is_that_of_the_system(self):
+        # Below 1e-12 in absolute terms but not relative to its residue:
+        # the response is negative, not identically zero.
+        tiny = PartialFractionSystem(((-1e-13, 0.5),))
+        rep = check_toeplitz_k(tiny, 1)
+        assert rep.verdict == REFUTED and rep.t0 == 1
+        zero = check_toeplitz_k(PartialFractionSystem(()), 1)
+        assert zero.verdict == CERTIFIED and zero.t0 is None
+        assert zero.certificate == "impulse response identically zero"
 
     def test_nearly_cancelling_compound_certified(self):
         # The order-11 compound recombines to a rational form whose pole
@@ -191,8 +216,11 @@ class TestCompoundRoute:
 
     def test_hankel_uses_residue_formula(self, no_realization):
         bank = even_bank(spread(6))
-        for k in range(1, 7):
-            assert check_hankel_k(bank, k).verdict != REFUTED
+        # The pole/residue form is certified by its residue signs; its
+        # num/den form reaches the compounds.
+        for sys in (bank, recombine(bank)):
+            for k in range(1, 7):
+                assert check_hankel_k(sys, k).verdict != REFUTED
         assert check_hankel_k(DEMO, 3).verdict == REFUTED
 
     def test_toeplitz_uses_residue_formula(self, no_realization):

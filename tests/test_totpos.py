@@ -1,52 +1,16 @@
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from test_oracle import assert_same_report, scalar_ovd_matrix
 from vardim.lti import PartialFractionSystem, impulse_response, hankel_matrix
-from vardim.signals import first_nonzero_sign, row_variations, variation
-from vardim.totpos import (OVD_BLOCK, BruteForceVerdict, IndexTuple,
-                           compound_matrix, desnanot_jacobi_residual,
-                           enumerate_tuples, is_k_positive, is_pd, is_psd,
-                           lattice_codes, matrix_rank, minor,
-                           output_signs, ovd_matrix_bruteforce)
-
-
-def scalar_bruteforce(X, k, alphabet=(-1, 0, 1), require_order=True,
-                      samples=0, seed=0x5EED, zero_tol=1e-12):
-    """Reference: ``ovd_matrix_bruteforce`` one candidate at a time."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    m = X.shape[1]
-    alpha = sorted(set(float(a) for a in alphabet))
-    rank = matrix_rank(X)
-    eff_tol = zero_tol * max(1.0, float(np.max(np.abs(X))))
-
-    def candidates():
-        yield from itertools.product(alpha, repeat=m)
-        rng = np.random.default_rng(seed)
-        for _ in range(samples):
-            yield tuple(rng.uniform(-1.0, 1.0, size=m))
-
-    checked = 0
-    for u in candidates():
-        su = variation(u, zero_tol)
-        uv = np.asarray(u)
-        if su > k or not np.any(np.abs(uv) > zero_tol):
-            continue
-        checked += 1
-        y = X @ uv
-        sy = variation(y, eff_tol)
-        if sy > min(rank - 1, su):
-            return BruteForceVerdict(False, u, tuple(y),
-                                     f"variation grew: {su} -> {sy}",
-                                     checked, rank)
-        fy = first_nonzero_sign(y, eff_tol)
-        if (require_order and sy == su and fy != 0
-                and fy != first_nonzero_sign(u, zero_tol)):
-            return BruteForceVerdict(False, u, tuple(y),
-                                     "leading sign flipped", checked, rank)
-    return BruteForceVerdict(True, None, None, None, checked, rank)
+from vardim.oracle import (OVD_BLOCK, OvdReport, lattice_codes, output_signs,
+                           ovd_matrix)
+from vardim.signals import row_variations
+from vardim.totpos import (IndexTuple, compound_matrix,
+                           desnanot_jacobi_residual, enumerate_tuples,
+                           is_k_positive, is_pd, is_psd, matrix_rank, minor)
 
 
 class RowLog(np.ndarray):
@@ -245,28 +209,29 @@ class TestDesnanotJacobi:
 
 
 class TestBruteForce:
+    # The matrix oracle of ``vardim.oracle``: inputs with at most k-1 sign
+    # changes.
     def test_totally_positive_window_passes(self):
         pfs = PartialFractionSystem(((1.0, 0.9), (1.0, 0.5), (1.0, 0.1)))
         g = impulse_response(pfs, 12)
         H = hankel_matrix(g, 1, 4).entries
-        v = ovd_matrix_bruteforce(H, 3)
-        assert isinstance(v, BruteForceVerdict) and v.passed
+        v = ovd_matrix(H, 4)
+        assert isinstance(v, OvdReport) and v.passed
 
     def test_antidiagonal_order_violation(self):
         # The swap matrix preserves the variation of (1, -1) but flips the
         # leading sign; enumeration hits the mirror input first.
-        v = ovd_matrix_bruteforce(np.array([[0.0, 1.0], [1.0, 0.0]]), 1)
-        assert not v.passed
-        assert v.reason == "leading sign flipped"
-        assert v.counterexample in ((-1.0, 1.0), (1.0, -1.0))
-        u = np.array([1.0, -1.0])
-        y = np.array([[0.0, 1.0], [1.0, 0.0]]) @ u
-        assert tuple(y) == (-1.0, 1.0)
+        v = ovd_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]), 2)
+        assert not v.passed and v.passed_variation_only
+        first = v.counterexample
+        assert first.kind == "order"
+        assert first.input in ((-1.0, 1.0), (1.0, -1.0))
+        assert first.output == tuple(-np.array(first.input))
 
     def test_rank_one_outer_product(self):
         a = np.array([1.0, 2.0, 0.5])
         b = np.array([0.3, 1.0])
-        v = ovd_matrix_bruteforce(np.outer(a, b), 2)
+        v = ovd_matrix(np.outer(a, b), 3)
         assert v.passed and v.rank == 1
 
     def test_equivalence_with_minor_scan(self):
@@ -283,14 +248,14 @@ class TestBruteForce:
                 continue
             for k in (1, 2, 3):
                 minors_ok = is_k_positive(X, k).positive
-                brute = ovd_matrix_bruteforce(X, k - 1).passed
+                brute = ovd_matrix(X, k).passed
                 assert minors_ok == brute
                 agree += 1
         assert agree > 0
 
     def test_random_real_sampling_mode(self):
         X = np.array([[1.0, 0.5], [0.5, 1.0]])
-        v = ovd_matrix_bruteforce(X, 1, samples=200, seed=0x5EED)
+        v = ovd_matrix(X, 2, samples=200, seed=0x5EED)
         assert v.passed
 
     def test_matches_scalar_scan(self):
@@ -301,11 +266,10 @@ class TestBruteForce:
                                  int(rng.integers(1, 6))))
             cases.append((np.abs(X) if trial % 2 else X, 100))
         for X, samples in cases:
-            for k in (0, 1, 2):
-                for order in (True, False):
-                    kw = dict(require_order=order, samples=samples, seed=k)
-                    got = ovd_matrix_bruteforce(X, k, **kw)
-                    assert got == scalar_bruteforce(X, k, **kw)
+            for k in (1, 2, 3):
+                kw = dict(samples=samples, seed=k)
+                assert_same_report(ovd_matrix(X, k, **kw),
+                                   scalar_ovd_matrix(X, k, **kw))
 
     def test_block_signs_follow_per_vector_product(self):
         # Put the zero tolerance between a block-product output and the
@@ -369,15 +333,3 @@ class TestBruteForce:
         for start, stop in ((0, 81), (5, 40), (80, 81), (7, 7)):
             assert [tuple(c) for c in lattice_codes(3, 4, start, stop)] \
                 == want[start:stop]
-
-    def test_lattice_scanned_block_by_block(self):
-        # The 2^16 lattice would take 8 MiB as floats; blocks keep the scan
-        # far below that.
-        tracemalloc.start()
-        try:
-            v = ovd_matrix_bruteforce(np.eye(16), 15, alphabet=(-1, 1))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert v.passed and v.inputs_checked == 2 ** 16
-        assert peak < 2 << 20
