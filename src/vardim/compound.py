@@ -1,15 +1,13 @@
-"""Compound systems: consecutive-minor impulse responses, their state-space
-realizations, and the explicit partial-fraction form for simple real poles.
-
-The checks use the partial-fraction form whenever the source has one and
-build a realization only for other sources; the minor sequence is a
-reference for tests.  The partial-fraction form is built as numpy array
-operations over all C(n, j) index tuples at once, rounding every product
-exactly as the scalar left-to-right loop does.  The index tuples of each
-(n, j) are built once and kept as a compact read-only table.  The products
-are sorted once; coinciding ones are merged run by run, and the merged
-arrays are handed to ``PartialFractionSystem`` in ascending order, so the
-form is not sorted a second time."""
+"""Compound systems.  The order-j compound response g_[j](t) is the
+determinant of the order-j Hankel window of g at t.  This module gives it
+as sampled determinants (all windows in one batched call), as the paper's
+C(n, j)-state realization and, for simple real poles, in partial-fraction
+form.  Checks use that form for pure pole/residue sources and the sampled
+determinants for every other source; no check builds the realization,
+which tests compare with both.  The form is built by numpy over all
+C(n, j) index tuples at once (cached read-only tables), rounding every
+product as the scalar left-to-right loop does; products are sorted once,
+merged run by run and handed to ``PartialFractionSystem`` ascending."""
 
 from __future__ import annotations
 
@@ -18,9 +16,11 @@ import itertools
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .lti import (PartialFractionSystem, StateSpace, extended_controllability,
-                  extended_observability, hankel_matrix, toeplitz_matrix)
+from .lti import (PartialFractionSystem, StateSpace, _require_window,
+                  extended_controllability, extended_observability,
+                  toeplitz_matrix)
 from .signals import Signal
 from .totpos import compound_matrix
 
@@ -49,8 +49,12 @@ def compound_impulse(g: Signal, j: int, horizon: int) -> Signal:
         raise ValueError("order j must be >= 1")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    vals = [hankel_matrix(g, t, j).det() for t in range(1, horizon + 1)]
-    return Signal(1, tuple(vals))
+    end = horizon + 2 * j - 2
+    _require_window(g, 1, end, f"H(t=1..{horizon}, j={j})")
+    x = g.to_array()[1 - g.support_start:end + 1 - g.support_start]
+    # Window t holds g(t + a + b - 2) at (a, b): rows are shifted copies.
+    windows = sliding_window_view(sliding_window_view(x, j), j, axis=0)
+    return Signal(1, tuple(np.linalg.det(windows).tolist()))
 
 
 def toeplitz_minor(g: Signal, t: int, j: int) -> float:

@@ -376,7 +376,7 @@ def partial_fractions(rtf: RationalTransferFunction) -> PartialFractionSystem:
                 f"repeated pole near {a}; use StateSpace")
     den = np.asarray(rtf.den)
     dden = np.polyder(den)
-    terms = []
+    xs = []
     for p in poles:
         x = p.real
         # One Newton polish; companion eigenvalues are accurate but not
@@ -384,9 +384,13 @@ def partial_fractions(rtf: RationalTransferFunction) -> PartialFractionSystem:
         slope = np.polyval(dden, x)
         if slope != 0.0:
             x = x - np.polyval(den, x) / slope
-        r = np.polyval(rtf.num, x) / np.polyval(dden, x)
-        terms.append((float(r), float(x)))
-    return PartialFractionSystem(tuple(terms))
+        xs.append(float(x))
+    # N(p_i) / prod(p_i - p_j) over the polished poles, divided differences
+    # of N, so that the samples below the relative degree cancel.
+    return PartialFractionSystem(tuple(
+        (float(np.polyval(rtf.num, x) / math.prod(
+            x - y for y in xs[:i] + xs[i + 1:])), x)
+        for i, x in enumerate(xs)))
 
 
 def recombine(pfs: PartialFractionSystem) -> RationalTransferFunction:

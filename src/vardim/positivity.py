@@ -18,13 +18,12 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .compound import compound_realization, compound_transfer, reversal_sign
+from .compound import compound_impulse, compound_transfer, reversal_sign
 from .errors import StructuralError, UnsupportedRepresentationError
 from .lti import (DEFAULT_HORIZON, REAL_SNAP_TOL, PartialFractionSystem,
                   RationalTransferFunction, StateSpace, canonical,
                   dominance_key, hankel_matrix, impulse_response,
-                  partial_fraction_samples, recombine, to_state_space,
-                  toeplitz_matrix)
+                  partial_fraction_samples, recombine, toeplitz_matrix)
 from .signals import Signal, forward_difference
 from .totpos import is_pd, is_psd, minor_zero_threshold
 
@@ -117,10 +116,8 @@ def render_report(report: PositivityReport, indent: str = "") -> str:
 
 
 def _first_nonzero_time(g: Signal, tol: float) -> Optional[int]:
-    for t in range(g.support_start, g.support_end + 1):
-        if abs(g.value(t)) > tol:
-            return t
-    return None
+    return next((t for t in range(g.support_start, g.support_end + 1)
+                 if abs(g.value(t)) > tol), None)
 
 
 def _sample_scale(pfs: PartialFractionSystem) -> float:
@@ -351,7 +348,7 @@ def check_external(sys, horizon: int = DEFAULT_HORIZON) -> PositivityReport:
     """
     pfs = canonical(sys)
     if not isinstance(pfs, PartialFractionSystem):
-        return _check_external_sampled(sys, horizon)
+        return _check_external_sampled(impulse_response(sys, horizon), horizon)
     theta = SAMPLE_TOL * (_sample_scale(pfs) if not pfs.is_zero() else 1.0)
     need = max(horizon, pfs.fir.support_end + 1 if len(pfs.fir) else 1)
     fir = pfs.fir.trimmed()
@@ -406,10 +403,8 @@ def check_external(sys, horizon: int = DEFAULT_HORIZON) -> PositivityReport:
                             witness=witness)
 
 
-def _check_external_sampled(sys, horizon: int) -> PositivityReport:
-    g = impulse_response(sys, horizon)
-    arr = g.to_array()
-    theta = SAMPLE_TOL * max(1.0, float(np.max(np.abs(arr))))
+def _check_external_sampled(g: Signal, horizon: int) -> PositivityReport:
+    theta = SAMPLE_TOL * max(1.0, float(np.max(np.abs(g.to_array()))))
     t0 = _first_nonzero_time(g, theta)
     for t in range(horizon + 1):
         if g.value(t) < -theta:
@@ -420,14 +415,16 @@ def _check_external_sampled(sys, horizon: int) -> PositivityReport:
     return PositivityReport(EXTERNAL, 1, HOLDS, horizon, t0=t0)
 
 
-def _compound(form, j: int):
-    """Order-j compound of a canonical form: the residue formula for a pure
-    pole/residue form, the C(n, j)-state realization otherwise."""
-    if isinstance(form, PartialFractionSystem):
-        if form.fir.is_zero():
-            return compound_transfer(form, j)
-        form = to_state_space(form)
-    return compound_realization(form, j)
+def _compound(form, j: int, horizon: int):
+    """Order-j compound of a canonical form: the form itself at j = 1, the
+    residue formula for a pure pole/residue form, otherwise the samples
+    g_[j](1..horizon), each the determinant of an order-j Hankel window."""
+    if j == 1:
+        return form
+    if isinstance(form, PartialFractionSystem) and form.fir.is_zero():
+        return compound_transfer(form, j)
+    return compound_impulse(impulse_response(form, horizon + 2 * j - 2), j,
+                            horizon)
 
 
 def check_hankel_k(sys, k: int,
@@ -451,36 +448,31 @@ def check_hankel_k(sys, k: int,
                        property_name=HANKEL_K, k=k)
 
     need = max(horizon, 2 * k + 2)
-    g = impulse_response(sys, need)
-    t0 = _first_nonzero_time(g, SAMPLE_TOL * max(1.0, float(np.max(np.abs(
-        g.to_array())))))
-    details = []
-    if k >= 2:
-        h1 = hankel_matrix(g, 1, k - 1).entries
-        h2 = hankel_matrix(g, 2, k - 1).entries
-        if not is_pd(h1):
+    if isinstance(form, PartialFractionSystem):
+        # check_external's zero level; no sample past the last finite one.
+        g = impulse_response(sys, max(1, 2 * k - 2, _finite_stop(form, need)))
+        theta = SAMPLE_TOL * _sample_scale(form)
+    else:
+        g = impulse_response(sys, need)
+        theta = SAMPLE_TOL * max(1.0, float(np.max(np.abs(g.to_array()))))
+    t0 = _first_nonzero_time(g, theta)
+    for offset, test, kind in ((1, is_pd, "definite"),
+                               (2, is_psd, "semidefinite")):
+        if k >= 2 and not test(hankel_matrix(g, offset, k - 1).entries):
             return PositivityReport(
                 HANKEL_K, k, REFUTED, horizon, t0=t0,
-                witness={"kind": "window-not-positive-definite",
-                         "offset": 1, "order": k - 1})
-        if not is_psd(h2):
-            return PositivityReport(
-                HANKEL_K, k, REFUTED, horizon, t0=t0,
-                witness={"kind": "window-not-positive-semidefinite",
-                         "offset": 2, "order": k - 1})
+                witness={"kind": f"window-not-positive-{kind}",
+                         "offset": offset, "order": k - 1})
 
-    sub = check_external(_compound(form, k), horizon)
-    details.append(sub)
-    witness = dict(sub.witness) if sub.witness else None
-    if witness is not None:
-        witness["compound-order"] = k
+    sub = _compound_external(form, k, horizon, 1)
+    witness = {**sub.witness, "compound-order": k} if sub.witness else None
     certificate = None
     if sub.verdict == CERTIFIED:
         certificate = (f"windows at offsets 1,2 definite and compound "
                        f"order {k} externally positive ({sub.certificate})")
     return PositivityReport(HANKEL_K, k, sub.verdict, horizon,
                             certificate=certificate, witness=witness,
-                            t0=t0, details=tuple(details))
+                            t0=t0, details=(sub,))
 
 
 def check_toeplitz_k(sys, k: int,
@@ -517,8 +509,7 @@ def check_toeplitz_k(sys, k: int,
         details.append(sub)
         verdicts.append(sub.verdict)
         if sub.verdict == REFUTED and witness is None:
-            witness = dict(sub.witness) if sub.witness else {}
-            witness["compound-order"] = j
+            witness = {**(sub.witness or {}), "compound-order": j}
 
     t0 = details[0].t0
     # The windows below read the samples up to t = 2k - 4 only.
@@ -542,9 +533,10 @@ def check_toeplitz_k(sys, k: int,
 
 
 def _initial_window_witness(g: Signal, k: int, t0: int) -> Optional[dict]:
-    """Strict positivity of the windows below the swap-identity range."""
+    """Strict positivity of the windows below the swap-identity range; the
+    one at t0 is triangular, with determinant g(t0)^j."""
     for j in range(1, k):
-        for t in range(t0, j):
+        for t in range(t0 + 1, j):
             view = toeplitz_matrix(g, t, j)
             d = view.det()
             if d <= minor_zero_threshold(view.entries):
@@ -571,12 +563,12 @@ def _compound_external(form, j: int, horizon: int,
         return PositivityReport(
             EXTERNAL, 1, CERTIFIED, horizon, t0=None,
             certificate=f"compound order {j} above system order: zero")
-    comp = _compound(form, j)
-    if sign == 1:
-        return check_external(comp, horizon)
-    if isinstance(comp, PartialFractionSystem):
-        return check_external(comp.scaled(float(sign)), horizon)
-    return check_external(replace(comp, c=sign * comp.c), horizon)
+    comp = _compound(form, j, horizon)
+    if sign != 1:
+        comp = comp.scaled(float(sign))
+    if isinstance(comp, Signal):
+        return _check_external_sampled(comp, horizon)
+    return check_external(comp, horizon)
 
 
 class CoefficientCheck(NamedTuple):

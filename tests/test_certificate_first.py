@@ -21,7 +21,8 @@ from vardim.errors import UnsupportedRepresentationError
 from vardim.lti import PartialFractionSystem, RationalTransferFunction
 from vardim.oracle import ovd_verify
 from vardim.positivity import (CERTIFIED, HOLDS, REFUTED, PositivityReport,
-                               check_external, check_toeplitz_k)
+                               check_external, check_hankel_k,
+                               check_toeplitz_k)
 from vardim.sysfile import parse_system
 
 
@@ -50,12 +51,23 @@ class TestUnstableWitnessSearch:
             assert rep.verdict == CERTIFIED and rep.t0 == 1
         mixed = PartialFractionSystem(big + ((-0.5, 1e9),))
         assert check_toeplitz_k(mixed, 2).verdict == CERTIFIED
-        assert check_toeplitz_k(mixed, 3).verdict == REFUTED
+        # Serial-lag totally positive (gain 0.5, zero -8e9); the order-2
+        # window at t0 = 1 is g(1)^2 and is not tested.
+        assert check_toeplitz_k(mixed, 3).verdict == CERTIFIED
         # g(1) = 0, and g(2) is already beyond the last finite sample
         # bound: no sample was seen, so nothing is certified.
         cut = PartialFractionSystem(((1.0, 1e200), (-1.0, 2.0)))
         for rep in (check_external(cut), check_toeplitz_k(cut, 1)):
             assert rep.verdict == HOLDS and rep.t0 is None
+
+    def test_hankel_windows_stay_finite(self):
+        # The windows and t0 read no sample past the last finite one, and
+        # t0 is taken at the zero level of check_external, not at 1e-12
+        # times the largest sample, which would put it at t = 28.
+        mixed = PartialFractionSystem(((1.0, 1e10), (-0.5, 1e9)))
+        first, second = check_hankel_k(mixed, 1), check_hankel_k(mixed, 2)
+        assert (first.verdict, first.t0) == (CERTIFIED, 1)
+        assert (second.verdict, second.t0) == (REFUTED, 1)
 
     def test_toeplitz_t0_is_the_first_nonzero_sample(self):
         pfs = PartialFractionSystem(((1.0, 2.0), (-1.0, 1.0), (-1.0, 0.6),

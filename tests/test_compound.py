@@ -7,8 +7,9 @@ from vardim.compound import (compound_impulse, compound_realization,
                              compound_transfer, reversal_sign,
                              toeplitz_minor)
 from vardim.errors import WindowError
-from vardim.lti import (PartialFractionSystem, StateSpace, impulse_response,
-                        to_state_space)
+from vardim.lti import (PartialFractionSystem, StateSpace, hankel_matrix,
+                        impulse_response, to_state_space)
+from vardim.signals import Signal
 
 DEMO = PartialFractionSystem(((0.9, 0.9), (0.5, 0.5), (-0.1, 0.1)))
 
@@ -54,6 +55,25 @@ class TestCompoundImpulse:
         g = impulse_response(DEMO, 5)
         with pytest.raises(WindowError):
             compound_impulse(g, 2, 5)  # needs g(7)
+        with pytest.raises(WindowError):
+            compound_impulse(Signal(2, g.values), 2, 1)  # needs g(1)
+
+    def test_batched_matches_window_loop(self):
+        # Reference: one ``hankel_matrix`` determinant per window.
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            ss = StateSpace(rng.normal(size=(n, n)) * 0.5, rng.normal(size=n),
+                            rng.normal(size=n))
+            j, horizon = int(rng.integers(1, 9)), int(rng.integers(1, 70))
+            g = impulse_response(ss, horizon + 2 * j - 2 +
+                                 int(rng.integers(0, 3)))
+            loop = [hankel_matrix(g, t, j).det()
+                    for t in range(1, horizon + 1)]
+            got = compound_impulse(g, j, horizon)
+            assert got.support_start == 1
+            assert [(v, math.copysign(1.0, v)) for v in got.values] == [
+                (v, math.copysign(1.0, v)) for v in loop]
 
 
 class TestCompoundRealization:

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -106,6 +107,23 @@ class TestPartialFractions:
             for (ra, pa), (rb, pb) in zip(pfs.terms, back.terms):
                 assert abs(ra - rb) <= 1e-9 * max(1.0, abs(ra))
                 assert abs(pa - pb) <= 1e-9
+
+
+    @pytest.mark.parametrize("n", [3, 6, 8, 10, 12, 16])
+    def test_cascade_samples_below_relative_degree_cancel(self, n):
+        # n lags with n // 2 zeros: g(t) = 0 exactly for t below the
+        # relative degree, so the residues must cancel there to rounding
+        # (residues N(p) / D'(p) give g(1) = 3.9e5 at n = 16).
+        poles = [0.95 - i * 0.9 / (n - 1) for i in range(n)]
+        zeros = [-0.05 - 0.85 * i / max(1, n // 2 - 1)
+                 for i in range(n // 2)]
+        pfs = partial_fractions(RationalTransferFunction(
+            tuple(np.poly(zeros)), tuple(np.poly(poles))))
+        r, p = pfs.arrays
+        for t in range(1, n - n // 2):
+            terms = r * p ** (t - 1)
+            assert abs(math.fsum(terms.tolist())) <= 1e-14 * math.fsum(
+                np.abs(terms).tolist())
 
 
 class TestStateSpaceConversion:

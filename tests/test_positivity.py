@@ -1,10 +1,11 @@
 import math
+import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-import vardim.compound
 import vardim.positivity
 from vardim.compound import compound_impulse
 from vardim.errors import StructuralError
@@ -206,15 +207,14 @@ class TestCheckToeplitzK:
 
 class TestCompoundRoute:
     @pytest.fixture
-    def no_realization(self, monkeypatch):
+    def no_sampling(self, monkeypatch):
         def fail(*args, **kwargs):
-            raise AssertionError("partial-fraction input built a "
-                                 "realization")
+            raise AssertionError("partial-fraction input sampled its "
+                                 "compound")
 
-        monkeypatch.setattr(vardim.positivity, "compound_realization", fail)
-        monkeypatch.setattr(vardim.compound, "compound_matrix", fail)
+        monkeypatch.setattr(vardim.positivity, "compound_impulse", fail)
 
-    def test_hankel_uses_residue_formula(self, no_realization):
+    def test_hankel_uses_residue_formula(self, no_sampling):
         bank = even_bank(spread(6))
         # The pole/residue form is certified by its residue signs; its
         # num/den form reaches the compounds.
@@ -223,11 +223,87 @@ class TestCompoundRoute:
                 assert check_hankel_k(sys, k).verdict != REFUTED
         assert check_hankel_k(DEMO, 3).verdict == REFUTED
 
-    def test_toeplitz_uses_residue_formula(self, no_realization):
+    def test_toeplitz_uses_residue_formula(self, no_sampling):
         res = [(-1) ** i * r for i, r in enumerate(spread(6))]
         for k in range(1, 7):
             check_toeplitz_k(even_bank(res), k)
         assert check_toeplitz_k(ALTERNATING, 2).verdict == CERTIFIED
+
+
+def complex_tail(n):
+    """n - 2 real modes from 0.95 down to 0.3 and a complex pair of radius
+    0.135 at angle 1.4, in modal form."""
+    A = np.diag([0.95 - i * 0.65 / (n - 3) for i in range(n - 2)] + [0, 0])
+    A[n - 2:, n - 2:] = 0.135 * np.array([[math.cos(1.4), -math.sin(1.4)],
+                                          [math.sin(1.4), math.cos(1.4)]])
+    return StateSpace(A, np.linspace(1.0, 0.2, n), np.ones(n))
+
+
+# Forms without a residue formula: complex poles as a state space and as
+# num/den, repeated poles, and a pole/residue form with a FIR tail.
+SAMPLED_FORMS = {
+    "complex-ss": StateSpace([[0.9, 0, 0], [0, 0.3, -0.4], [0, 0.4, 0.3]],
+                             [1.0, 0.5, 0.5], [1, 1, 1]),
+    "complex-rtf": RationalTransferFunction((2.0, -1.8, 0.52),
+                                            (1.0, -1.5, 0.79, -0.225)),
+    "repeated-ss": StateSpace([[0.8, 1.0, 0], [0, 0.8, 0], [0, 0, 0.3]],
+                              [0.0, 1.0, 1.0], [1, 1, 1]),
+    "fir-tail": PartialFractionSystem(((1.0, 0.8), (-0.2, 0.4)),
+                                      Signal(1, (0.0, 0.5))),
+    "complex-16": complex_tail(16),
+}
+
+
+class TestSampledCompounds:
+    @pytest.fixture
+    def no_realization(self, monkeypatch):
+        """Every binding of the realization route in the package fails."""
+        def fail(*args, **kwargs):
+            raise AssertionError("a check built a realization")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] != "vardim" or module is None:
+                continue
+            for attr in ("compound_realization", "compound_matrix",
+                         "extended_controllability", "extended_observability",
+                         "to_state_space"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, fail)
+
+    @pytest.mark.parametrize("name", SAMPLED_FORMS)
+    def test_checks_build_no_realization(self, name, no_realization):
+        sys_ = SAMPLED_FORMS[name]
+        ks = (1, 2, 8) if name == "complex-16" else range(1, 5)
+        check_external(sys_)
+        for k in ks:
+            check_hankel_k(sys_, k)
+            check_toeplitz_k(sys_, k)
+
+    def test_fir_tail_checked_as_partial_fractions(self):
+        # At order 1 the compound is the system itself, whose FIR tail the
+        # sample scan reads; tail dominance then certifies it.
+        fir = SAMPLED_FORMS["fir-tail"]
+        for rep in (check_hankel_k(fir, 1), check_toeplitz_k(fir, 1)):
+            assert rep.verdict == CERTIFIED
+            assert "tail dominance" in rep.details[0].certificate
+
+    def test_wide_compounds_sample_in_small_memory(self):
+        # The C(16, 8)-state realization would need gigabytes.
+        tracemalloc.start()
+        try:
+            rep = check_toeplitz_k(SAMPLED_FORMS["complex-16"], 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.verdict == REFUTED
+        assert rep.witness["compound-order"] == 2
+        assert peak < 1 << 20
+
+    def test_sampled_compound_is_the_window_determinant(self):
+        ss = SAMPLED_FORMS["complex-ss"]
+        rep = check_hankel_k(ss, 2)
+        g = compound_impulse(impulse_response(ss, 66), 2, 64)
+        assert rep.witness["value"] == g.value(rep.witness["time"]) < 0
 
 
 class TestNecessaryCoefficients:
