@@ -148,7 +148,8 @@ def cmd_check(args) -> int:
 def cmd_compound(args) -> int:
     pfs = canonical(load_system(args.system))
     if not isinstance(pfs, PartialFractionSystem):
-        raise StructuralError("compound reports need simple real poles")
+        raise UnsupportedRepresentationError(
+            "compound reports need simple real poles")
     n = len(pfs.terms)
     horizon = args.horizon
     lines = [f"compound-order: {args.j}"]

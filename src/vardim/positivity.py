@@ -58,12 +58,14 @@ HANKEL_TOTAL = "hankel-total"
 TOEPLITZ_TOTAL = "toeplitz-total"
 RELAXATION = "relaxation"
 
-_RANK = {REFUTED: 3, UNSUPPORTED: 2, HOLDS: 1, CERTIFIED: 0}
-
 
 @dataclass(frozen=True)
 class PositivityReport:
-    """Verdict record emitted by every system-level check."""
+    """Verdict record emitted by every system-level check.
+
+    ``details`` lists the sub-checks that ran, in order, up to and
+    including the first refuted one.
+    """
 
     property_name: str
     k: Optional[int]
@@ -79,10 +81,6 @@ class PositivityReport:
             raise ValueError("refuted reports need a concrete witness")
         if self.verdict == CERTIFIED and self.certificate is None:
             raise ValueError("certified reports need a certificate")
-
-
-def worst_verdict(verdicts) -> str:
-    return max(verdicts, key=lambda v: _RANK[v], default=CERTIFIED)
 
 
 def _fmt(value) -> str:
@@ -433,19 +431,19 @@ def check_hankel_k(sys, k: int,
 
     Applies the finite reduction: the order-(k-1) windows at offsets 1 and
     2 must be positive (semi)definite and the k-th compound system must be
-    externally positive.  Verdict is the worst sub-verdict.  For k above
-    the order of the canonical form (modes without residue dropped), and
-    for partial-fraction inputs that it certifies, the total-positivity
-    characterization is used: it reads their residues and poles as given,
-    so its sign test is exact for them.
+    externally positive; a refuted window ends the check before the
+    compound is built.  For k above the order of the canonical form (modes
+    without residue dropped), and for partial-fraction inputs that it
+    certifies, the total-positivity characterization is used: it reads
+    their residues and poles as given, so its sign test is exact for them.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     form = canonical(sys)
-    if k > form.order or (isinstance(sys, PartialFractionSystem) and
-                          check_hankel_total(form).verdict == CERTIFIED):
-        return replace(check_hankel_total(form, horizon),
-                       property_name=HANKEL_K, k=k)
+    if k > form.order or isinstance(sys, PartialFractionSystem):
+        total = check_hankel_total(form, horizon)
+        if k > form.order or total.verdict == CERTIFIED:
+            return replace(total, property_name=HANKEL_K, k=k)
 
     need = max(horizon, 2 * k + 2)
     if isinstance(form, PartialFractionSystem):
@@ -480,23 +478,21 @@ def check_toeplitz_k(sys, k: int,
     """Order-k check for the causal convolution operator.
 
     Requires the (k-1)-th largest pole to be nonzero (otherwise the finite
-    reduction does not apply and the verdict is ``unsupported``).  Checks
-    that the sign-adjusted compounds of orders 1..k are externally positive
-    and that the initial Toeplitz windows are strictly positive; t0 is that
-    of the order-1 compound, the system itself.
+    reduction does not apply and the verdict is ``unsupported``).  The
+    sign-adjusted compounds of orders 1..k must be externally positive and
+    the initial Toeplitz windows strictly positive.  The compounds are
+    checked in order, and the first refuted one ends the check with its
+    witness and order; the windows are tested only when none is refuted.
+    t0 is that of the order-1 compound, the system itself.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     form = canonical(sys)
     poles = _pole_magnitudes(form)
-    if k >= 2:
-        idx = k - 1
-        if idx > len(poles) or abs(poles[idx - 1]) <= SAMPLE_TOL:
-            return PositivityReport(TOEPLITZ_K, k, UNSUPPORTED, horizon)
+    if k >= 2 and (k - 1 > len(poles) or abs(poles[k - 2]) <= SAMPLE_TOL):
+        return PositivityReport(TOEPLITZ_K, k, UNSUPPORTED, horizon)
 
     details = []
-    witness = None
-    verdicts = []
     for j in range(1, k + 1):
         sub = _compound_external(form, j, horizon, reversal_sign(j))
         if j == 1 and sub.t0 is None:
@@ -507,26 +503,25 @@ def check_toeplitz_k(sys, k: int,
                 certificate=("impulse response identically zero"
                              if sub.verdict == CERTIFIED else None))
         details.append(sub)
-        verdicts.append(sub.verdict)
-        if sub.verdict == REFUTED and witness is None:
-            witness = {**(sub.witness or {}), "compound-order": j}
+        if sub.verdict == REFUTED:
+            return PositivityReport(
+                TOEPLITZ_K, k, REFUTED, horizon, t0=details[0].t0,
+                witness={**sub.witness, "compound-order": j},
+                details=tuple(details))
 
     t0 = details[0].t0
     # The windows below read the samples up to t = 2k - 4 only.
-    initial = _initial_window_witness(
+    witness = _initial_window_witness(
         impulse_response(form, max(1, 2 * k - 4)), k, t0)
-    if initial is not None:
-        verdicts.append(REFUTED)
-        if witness is None:
-            witness = initial
-
-    verdict = worst_verdict(verdicts)
     certificate = None
-    if verdict == CERTIFIED:
+    if witness is not None:
+        verdict = REFUTED
+    elif any(sub.verdict == HOLDS for sub in details):
+        verdict = HOLDS
+    else:
+        verdict = CERTIFIED
         certificate = (f"sign-adjusted compounds of orders 1..{k} externally "
                        f"positive and initial windows positive")
-    if verdict != REFUTED:
-        witness = None
     return PositivityReport(TOEPLITZ_K, k, verdict, horizon,
                             certificate=certificate, witness=witness,
                             t0=t0, details=tuple(details))
@@ -547,10 +542,8 @@ def _initial_window_witness(g: Signal, k: int, t0: int) -> Optional[dict]:
 
 def _pole_magnitudes(form) -> tuple:
     if isinstance(form, PartialFractionSystem):
-        poles = list(form.poles)
-        span = form.order - len(poles)
-        poles.extend([0.0] * span)
-        return tuple(sorted(poles, key=dominance_key))
+        # Poles in dominance order; the FIR tail's poles at zero sort last.
+        return form.poles + (0.0,) * (form.order - len(form.poles))
     lam = np.linalg.eigvals(form.A)
     return tuple(sorted((complex(v) for v in lam), key=dominance_key))
 

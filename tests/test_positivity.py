@@ -5,20 +5,25 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import vardim.positivity
-from vardim.compound import compound_impulse
+from vardim.compound import compound_impulse, compound_transfer, reversal_sign
 from vardim.errors import StructuralError
-from vardim.lti import (PartialFractionSystem, RationalTransferFunction,
-                        StateSpace, impulse_response, recombine)
-from vardim.positivity import (CERTIFIED, HOLDS, REFUTED, UNSUPPORTED,
-                               check_external, check_hankel_k,
-                               check_hankel_total, check_relaxation,
-                               check_toeplitz_k, check_toeplitz_total,
-                               diff_system, hankel_decompose,
-                               necessary_coefficients, render_report,
-                               repeated_pole_check, toeplitz_decompose,
-                               WITNESS_SEARCH_CAP)
+from vardim.lti import (DEFAULT_HORIZON, PartialFractionSystem,
+                        RationalTransferFunction, StateSpace, canonical,
+                        dominance_key, impulse_response, recombine)
+from vardim.positivity import (CERTIFIED, HOLDS, REFUTED, SAMPLE_TOL,
+                               TOEPLITZ_K, UNSUPPORTED, PositivityReport,
+                               _compound_external, _initial_window_witness,
+                               _pole_magnitudes, check_external,
+                               check_hankel_k, check_hankel_total,
+                               check_relaxation, check_toeplitz_k,
+                               check_toeplitz_total, diff_system,
+                               hankel_decompose, necessary_coefficients,
+                               render_report, repeated_pole_check,
+                               toeplitz_decompose, WITNESS_SEARCH_CAP)
 from vardim.signals import Signal, forward_difference
 
 DEMO = PartialFractionSystem(((0.9, 0.9), (0.5, 0.5), (-0.1, 0.1)))
@@ -199,10 +204,118 @@ class TestCheckToeplitzK:
         # certificate needs no zero test.
         res = [(-1) ** i * r for i, r in enumerate(spread(12))]
         res[11] = -res[11]
-        rep = check_toeplitz_k(even_bank(res), 12)
+        bank = even_bank(res)
+        rep = check_toeplitz_k(bank, 12)
         assert rep.verdict == REFUTED
         assert rep.witness["kind"] == "negative-sample"
-        assert rep.details[10].verdict == CERTIFIED
+        comp = compound_transfer(bank, 11).scaled(reversal_sign(11))
+        assert check_external(comp).verdict == CERTIFIED
+
+    def test_first_refuted_compound_ends_the_ladder(self, monkeypatch):
+        # DEMO is refuted at order 2; no higher compound and no initial
+        # window is built.
+        real = vardim.positivity.compound_transfer
+
+        def upto_two(form, j):
+            if j > 2:
+                raise AssertionError(f"compound of order {j} built")
+            return real(form, j)
+
+        def no_windows(*args):
+            raise AssertionError("initial windows tested")
+
+        monkeypatch.setattr(vardim.positivity, "compound_transfer", upto_two)
+        monkeypatch.setattr(vardim.positivity, "_initial_window_witness",
+                            no_windows)
+        rep = check_toeplitz_k(DEMO, 3)
+        assert rep.verdict == REFUTED
+        assert rep.witness["compound-order"] == 2
+        assert [sub.verdict for sub in rep.details] == [CERTIFIED, REFUTED]
+
+
+_RANK = {CERTIFIED: 0, HOLDS: 1, REFUTED: 2}
+
+
+def ladder_reference(sys, k, horizon=DEFAULT_HORIZON):
+    """``check_toeplitz_k`` as a ladder that runs every order: the
+    compounds of orders 1..k and the initial windows are all checked, the
+    verdict is the worst of them, and the witness is that of the first
+    refuted check."""
+    form = canonical(sys)
+    poles = sorted(_pole_magnitudes(form), key=dominance_key)
+    if k >= 2 and (k - 1 > len(poles) or abs(poles[k - 2]) <= SAMPLE_TOL):
+        return PositivityReport(TOEPLITZ_K, k, UNSUPPORTED, horizon)
+    first = _compound_external(form, 1, horizon, 1)
+    if first.t0 is None:
+        return PositivityReport(
+            TOEPLITZ_K, k, first.verdict, horizon,
+            certificate=("impulse response identically zero"
+                         if first.verdict == CERTIFIED else None))
+    details = (first,) + tuple(
+        _compound_external(form, j, horizon, reversal_sign(j))
+        for j in range(2, k + 1))
+    witnesses = [{**sub.witness, "compound-order": j}
+                 for j, sub in enumerate(details, start=1)
+                 if sub.verdict == REFUTED]
+    initial = _initial_window_witness(
+        impulse_response(form, max(1, 2 * k - 4)), k, first.t0)
+    if initial is not None:
+        witnesses.append(initial)
+    verdict = max((sub.verdict for sub in details), key=_RANK.get)
+    if witnesses:
+        verdict = REFUTED
+    certificate = None
+    if verdict == CERTIFIED:
+        certificate = (f"sign-adjusted compounds of orders 1..{k} externally "
+                       f"positive and initial windows positive")
+    return PositivityReport(TOEPLITZ_K, k, verdict, horizon,
+                            certificate=certificate,
+                            witness=witnesses[0] if witnesses else None,
+                            t0=first.t0, details=details)
+
+
+@st.composite
+def ladder_systems(draw):
+    """A stable pole/residue system with poles at least 0.01 apart and
+    away from zero, residues of alternating or random sign, an optional
+    FIR tail, and an order k from 1 to one above the number of poles."""
+    n = draw(st.integers(1, 6))
+    bins = draw(st.lists(st.integers(-19, 19), min_size=n, max_size=n,
+                         unique=True))
+    poles = [(b + draw(st.floats(0.1, 0.9))) / 20.0 for b in bins]
+    mags = draw(st.lists(st.floats(0.1, 2.0), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        rank = sorted(range(n), key=lambda i: -abs(poles[i]))
+        signs = [0.0] * n
+        for pos, i in enumerate(rank):
+            signs[i] = (-1.0) ** pos
+    else:
+        signs = draw(st.lists(st.sampled_from((1.0, -1.0)), min_size=n,
+                              max_size=n))
+    fir = draw(st.sampled_from((Signal(), Signal(1, (0.4,)),
+                                Signal(0, (0.2, 0.0, 0.5)))))
+    pfs = PartialFractionSystem(
+        tuple((m * sg, p) for m, sg, p in zip(mags, signs, poles)), fir)
+    return pfs, draw(st.integers(1, n + 1))
+
+
+class TestFirstRefutation:
+    @settings(max_examples=150, deadline=None)
+    @given(ladder_systems())
+    # Refuted by an initial window after four certified compounds, and
+    # unsupported for a pole at zero.
+    @example((PartialFractionSystem(((1.9, 0.68), (-1.4, 0.34),
+                                     (0.36, 0.014))), 4))
+    @example((PartialFractionSystem(((1.0, 0.9), (0.5, 0.0))), 3))
+    def test_matches_the_full_ladder(self, case):
+        sys_, k = case
+        rep, ref = check_toeplitz_k(sys_, k), ladder_reference(sys_, k)
+        assert ((rep.verdict, rep.witness, rep.t0, rep.certificate)
+                == (ref.verdict, ref.witness, ref.t0, ref.certificate))
+        refuted = [j for j, sub in enumerate(ref.details, start=1)
+                   if sub.verdict == REFUTED]
+        ran = refuted[0] if refuted else len(ref.details)
+        assert rep.details == ref.details[:ran]
 
 
 class TestCompoundRoute:
