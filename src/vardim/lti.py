@@ -16,8 +16,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import (DegenerateSystemError, UnsupportedRepresentationError,
-                     WindowError)
+from .errors import (BudgetExceededError, DegenerateSystemError,
+                     UnsupportedRepresentationError, WindowError)
 from .signals import Signal
 
 # Roots whose imaginary part falls below this (relative) level are snapped
@@ -327,20 +327,32 @@ def partial_fraction_samples(terms, fir: Signal, times) -> list:
 
 
 def impulse_response(sys: SystemLike, horizon: int) -> Signal:
-    """Samples g(0..horizon); g(0) = 0 for strictly proper dynamics."""
+    """Samples g(0..horizon); g(0) = 0 for strictly proper dynamics.
+
+    Raises BudgetExceededError, naming the first t, when a sample up to
+    the horizon is not a finite double (unstable dynamics overflow)."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if isinstance(sys, PartialFractionSystem):
-        return Signal(0, partial_fraction_samples(sys.terms, sys.fir,
-                                                  range(horizon + 1)))
-    if isinstance(sys, StateSpace):
-        vals = [0.0]
+        try:
+            g = partial_fraction_samples(sys.terms, sys.fir,
+                                         range(horizon + 1))
+        except OverflowError:  # a power p**(t-1) left the doubles
+            g = []
+            for t in range(horizon + 1):
+                try:
+                    g += partial_fraction_samples(sys.terms, sys.fir, (t,))
+                except OverflowError:
+                    g.append(math.inf)
+                    break
+    elif isinstance(sys, StateSpace):
+        g = [0.0]
         x = sys.b.copy()
-        for _ in range(horizon):
-            vals.append(float(sys.c @ x))
-            x = sys.A @ x
-        return Signal(0, tuple(vals))
-    if isinstance(sys, RationalTransferFunction):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(horizon):
+                g.append(float(sys.c @ x))
+                x = sys.A @ x
+    elif isinstance(sys, RationalTransferFunction):
         den = sys.den
         n = len(den) - 1
         # Align numerator coefficients with z^(n-k).
@@ -350,11 +362,22 @@ def impulse_response(sys: SystemLike, horizon: int) -> Signal:
         g = []
         for t in range(horizon + 1):
             acc = c[t] if t <= n else 0.0
-            acc -= math.fsum(den[i] * g[t - i]
-                             for i in range(1, min(t, n) + 1))
+            try:
+                acc -= math.fsum(den[i] * g[t - i]
+                                 for i in range(1, min(t, n) + 1))
+            except (OverflowError, ValueError):  # inf, or inf - inf
+                g.append(math.nan)
+                break
             g.append(acc)
-        return Signal(0, tuple(g))
-    raise TypeError(f"unsupported system type {type(sys).__name__}")
+    else:
+        raise TypeError(f"unsupported system type {type(sys).__name__}")
+    try:
+        return Signal(0, g)
+    except ValueError:  # a Signal holds finite samples only
+        t = next(t for t, v in enumerate(g) if not math.isfinite(v))
+        raise BudgetExceededError(
+            f"impulse response leaves the doubles at t={t}; shorten the "
+            f"horizon") from None
 
 
 def partial_fractions(rtf: RationalTransferFunction) -> PartialFractionSystem:

@@ -20,6 +20,7 @@ import numpy as np
 
 from .compound import compound_impulse, compound_transfer, reversal_sign
 from .errors import StructuralError, UnsupportedRepresentationError
+from .exact import serial_lag
 from .lti import (DEFAULT_HORIZON, REAL_SNAP_TOL, PartialFractionSystem,
                   RationalTransferFunction, StateSpace, canonical,
                   dominance_key, hankel_matrix, impulse_response,
@@ -477,16 +478,23 @@ def check_toeplitz_k(sys, k: int,
                      horizon: int = DEFAULT_HORIZON) -> PositivityReport:
     """Order-k check for the causal convolution operator.
 
-    Requires the (k-1)-th largest pole to be nonzero (otherwise the finite
-    reduction does not apply and the verdict is ``unsupported``).  The
-    sign-adjusted compounds of orders 1..k must be externally positive and
-    the initial Toeplitz windows strictly positive.  The compounds are
-    checked in order, and the first refuted one ends the check with its
-    witness and order; the windows are tested only when none is refuted.
-    t0 is that of the order-1 compound, the system itself.
+    A num/den input with no pole at zero and k - 1 at most its order is
+    first decided exactly (``_serial_lag_report``).  Otherwise the
+    (k-1)-th largest pole must be nonzero (else the finite reduction does
+    not apply and the verdict is ``unsupported``).  The sign-adjusted
+    compounds of orders 1..k must be externally positive and the initial
+    Toeplitz windows strictly positive.  The compounds are checked in
+    order, and the first refuted one ends the check with its witness and
+    order; the windows are tested only when none is refuted.  t0 is that
+    of the order-1 compound, the system itself.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if (isinstance(sys, RationalTransferFunction) and sys.den[-1] != 0.0
+            and k - 1 <= sys.order):
+        exact = _serial_lag_report(sys, k, horizon)
+        if exact is not None:
+            return exact
     form = canonical(sys)
     poles = _pole_magnitudes(form)
     if k >= 2 and (k - 1 > len(poles) or abs(poles[k - 2]) <= SAMPLE_TOL):
@@ -525,6 +533,43 @@ def check_toeplitz_k(sys, k: int,
     return PositivityReport(TOEPLITZ_K, k, verdict, horizon,
                             certificate=certificate, witness=witness,
                             t0=t0, details=tuple(details))
+
+
+def _serial_lag_report(rtf: RationalTransferFunction, k: int,
+                       horizon: int) -> Optional[PositivityReport]:
+    """Order-k verdict of a num/den input decided on its coefficients as
+    given, or None when they decide nothing.  D is monic, so the first
+    sample is g(t0) = num[0] exactly, at t0 = deg D - deg N.
+
+    * A negative numerator (num[0] < 0 and no coefficient above zero)
+      refutes at order 1 with that sample.  Whichever leading numerator
+      coefficients are read as rounding noise, the first sample left is
+      negative, so the refutation never rests on the sign of a cancelled
+      term alone.
+    * The exact serial-lag test (``exact.serial_lag``) with D squarefree
+      certifies every order: the Toeplitz operator is totally positive.
+    """
+    num, den = rtf.num, rtf.den
+    t0 = len(den) - len(num)
+    if num[0] < 0.0:
+        if max(num) > 0.0:
+            return None
+        sample = {"kind": "negative-sample", "time": t0, "value": num[0]}
+        sub = PositivityReport(EXTERNAL, 1, REFUTED, horizon, t0=t0,
+                               witness=sample)
+        return PositivityReport(TOEPLITZ_K, k, REFUTED, horizon, t0=t0,
+                                witness={**sample, "compound-order": 1},
+                                details=(sub,))
+    lag = serial_lag(num, den)
+    if not (lag.holds and lag.simple):
+        return None
+    return PositivityReport(
+        TOEPLITZ_K, k, CERTIFIED, horizon, t0=t0,
+        certificate=(f"serial lag by exact root counts: gain > 0, den "
+                     f"squarefree with {lag.poles}/{lag.den_degree} roots "
+                     f"in (0, inf), squarefree(num) with "
+                     f"{lag.zeros}/{lag.distinct_zeros} roots in "
+                     f"(-inf, 0]"))
 
 
 def _initial_window_witness(g: Signal, k: int, t0: int) -> Optional[dict]:
@@ -823,42 +868,49 @@ def check_hankel_total(sys, horizon: int = DEFAULT_HORIZON) -> PositivityReport:
 def check_toeplitz_total(sys,
                          horizon: int = DEFAULT_HORIZON) -> PositivityReport:
     """Exact serial-lag characterization: positive gain, real nonnegative
-    poles, real nonpositive zeros."""
+    poles, real nonpositive zeros.
+
+    A num/den input is decided by exact root counts
+    (``exact.serial_lag``).  When they refute it, the witness is the float
+    root (or gain) that ``_root_witness`` finds, or else the failing root
+    count.  Other inputs are recombined and tested on their float roots.
+    """
     if isinstance(sys, RationalTransferFunction):
-        rtf = sys
+        lag = serial_lag(sys.num, sys.den)
+        witness = None if lag.holds else (_root_witness(sys)
+                                          or lag.failure())
     else:
         pfs = canonical(sys)
         if not isinstance(pfs, PartialFractionSystem):
             raise UnsupportedRepresentationError(
                 "operation needs simple real poles")
-        rtf = recombine(pfs)
-    if rtf.gain <= 0:
-        return PositivityReport(
-            TOEPLITZ_TOTAL, None, REFUTED, horizon,
-            witness={"kind": "nonpositive-gain", "gain": rtf.gain})
-    scale = max(1.0, max(abs(p) for p in rtf.poles))
-    for p in rtf.poles:
-        if p.imag != 0.0:
-            return PositivityReport(
-                TOEPLITZ_TOTAL, None, REFUTED, horizon,
-                witness={"kind": "complex-pole", "pole": str(p)})
-        if p.real < -SAMPLE_TOL * scale:
-            return PositivityReport(
-                TOEPLITZ_TOTAL, None, REFUTED, horizon,
-                witness={"kind": "negative-pole", "pole": p.real})
-    for z in rtf.zeros:
-        if z.imag != 0.0:
-            return PositivityReport(
-                TOEPLITZ_TOTAL, None, REFUTED, horizon,
-                witness={"kind": "complex-zero", "zero": str(z)})
-        if z.real > SAMPLE_TOL * scale:
-            return PositivityReport(
-                TOEPLITZ_TOTAL, None, REFUTED, horizon,
-                witness={"kind": "positive-real-zero", "zero": z.real})
+        witness = _root_witness(recombine(pfs))
+    if witness is not None:
+        return PositivityReport(TOEPLITZ_TOTAL, None, REFUTED, horizon,
+                                witness=witness)
     return PositivityReport(
         TOEPLITZ_TOTAL, None, CERTIFIED, horizon,
         certificate="serial interconnection of first-order lags with "
                     "nonpositive zeros")
+
+
+def _root_witness(rtf: RationalTransferFunction) -> Optional[dict]:
+    """The first nonpositive gain, complex or negative pole, or complex or
+    positive zero among the float roots of ``rtf``."""
+    if rtf.gain <= 0:
+        return {"kind": "nonpositive-gain", "gain": rtf.gain}
+    scale = max(1.0, max(abs(p) for p in rtf.poles))
+    for p in rtf.poles:
+        if p.imag != 0.0:
+            return {"kind": "complex-pole", "pole": str(p)}
+        if p.real < -SAMPLE_TOL * scale:
+            return {"kind": "negative-pole", "pole": p.real}
+    for z in rtf.zeros:
+        if z.imag != 0.0:
+            return {"kind": "complex-zero", "zero": str(z)}
+        if z.real > SAMPLE_TOL * scale:
+            return {"kind": "positive-real-zero", "zero": z.real}
+    return None
 
 
 class RepeatedPoleCheck(NamedTuple):

@@ -289,7 +289,9 @@ class TestExactSampleBudget:
     def test_sixteen_lag_cascade_sums_few_exact_terms(self):
         # Wide compounds cancel to near zero at early samples; a guard band
         # that grows with sqrt(m) rather than m leaves them outside it, so
-        # few samples are re-decided term by term.
+        # few samples are re-decided term by term.  The cascade is given as
+        # poles/residues: its num/den form is certified by the exact
+        # serial-lag test before any compound is scanned.
         summed = []
 
         def counting(terms, fir, times):
@@ -297,7 +299,8 @@ class TestExactSampleBudget:
             summed.append(len(terms) * sum(t >= 1 for t in times))
             return partial_fraction_samples(terms, fir, times)
 
-        system = cascade(16)
+        system = lti.canonical(cascade(16))
+        assert isinstance(system, PartialFractionSystem)
         with mock.patch.object(positivity, "partial_fraction_samples",
                                counting):
             report = check_toeplitz_k(system, 16)

@@ -1,11 +1,12 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from vardim import lti
-from vardim.errors import (DegenerateSystemError,
+from vardim.errors import (BudgetExceededError, DegenerateSystemError,
                            UnsupportedRepresentationError, WindowError)
 from vardim.lti import (PartialFractionSystem, RationalTransferFunction,
                         StateSpace, canonical, extended_controllability,
@@ -13,6 +14,8 @@ from vardim.lti import (PartialFractionSystem, RationalTransferFunction,
                         impulse_response, partial_fractions, recombine,
                         rtf_to_state_space, to_state_space, toeplitz_matrix,
                         zeros)
+from vardim.positivity import (check_external, check_hankel_k,
+                               check_toeplitz_k)
 from vardim.signals import Signal
 
 DEMO = PartialFractionSystem(((0.9, 0.9), (0.5, 0.5), (-0.1, 0.1)))
@@ -75,6 +78,40 @@ class TestImpulseResponse:
         gb = impulse_response(pfs, 50)
         np.testing.assert_allclose(ga.to_array(), gb.to_array(),
                                    rtol=1e-9, atol=1e-12)
+
+
+
+def unstable_state_space() -> StateSpace:
+    """A real pole 2 and a complex pair of radius 1e6: the samples leave
+    the doubles at t = 53, inside the default horizon."""
+    A = np.zeros((3, 3))
+    A[0, 0] = 2.0
+    A[1:, 1:] = 1e6 * np.array([[math.cos(1.0), -math.sin(1.0)],
+                                [math.sin(1.0), math.cos(1.0)]])
+    return StateSpace(A, np.ones(3), np.ones(3))
+
+
+class TestNonFiniteSamples:
+    @pytest.mark.parametrize("check", [
+        check_external, lambda s: check_hankel_k(s, 2),
+        lambda s: check_toeplitz_k(s, 2)],
+        ids=["external", "hankel-2", "toeplitz-2"])
+    def test_checks_raise_budget_exceeded(self, check):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BudgetExceededError, match="t=53"):
+                check(unstable_state_space())
+
+    @pytest.mark.parametrize("system, t", [
+        (PartialFractionSystem(((1.0, 1e10),)), 32),
+        (RationalTransferFunction((1.0,), (1.0, -1e10)), 32),
+        (RationalTransferFunction((1.0,), (1.0, 0.0, 1e300)), 6)])
+    def test_every_form_names_the_first_bad_sample(self, system, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BudgetExceededError, match=f"t={t};"):
+                impulse_response(system, 64)
+        assert len(impulse_response(system, t - 1)) == t
 
 
 class TestPartialFractions:
