@@ -2,8 +2,9 @@
 
 Verdicts about order-k positivity of the past-to-future (Hankel) and
 causal convolution (Toeplitz) operators of a finite-dimensional system,
-built on compound-matrix machinery, minor criteria and brute-force
-variation oracles, plus dominant totally-positive decompositions.
+built on compound systems in residue form, window determinants, exact
+root counts and brute-force variation oracles, plus dominant
+totally-positive decompositions.
 """
 
 from .errors import (BudgetExceededError, DegenerateSystemError, ParseError,
@@ -14,16 +15,11 @@ from .signals import (Signal, first_nonzero_sign, forward_difference,
                       row_variations, variation)
 from .lti import (PartialFractionSystem, RationalTransferFunction,
                   StateSpace, StructuredMatrixView, canonical,
-                  extended_controllability, extended_observability,
                   hankel_matrix, impulse_response, partial_fractions,
                   polynomial_roots, recombine, rtf_to_state_space,
-                  to_state_space, toeplitz_matrix, zeros)
-from .totpos import (IndexTuple, KPositivityVerdict, MinorReport,
-                     compound_matrix, desnanot_jacobi_residual,
-                     enumerate_tuples, is_k_positive, is_pd, is_psd,
-                     matrix_rank, minor)
-from .compound import (compound_impulse, compound_realization,
-                       compound_transfer, reversal_sign, toeplitz_minor)
+                  toeplitz_matrix)
+from .totpos import is_pd, is_psd, matrix_rank
+from .compound import compound_impulse, compound_transfer, reversal_sign
 from .positivity import (CERTIFIED, HOLDS, REFUTED, UNSUPPORTED,
                          CoefficientCheck, Decomposition, PositivityReport,
                          RelaxationBundle, RepeatedPoleCheck, check_external,

@@ -189,7 +189,7 @@ def cmd_decompose(args) -> int:
     rem_path = prefix + "remainder.sys"
     _write(serialize_system(dec.dominant), dom_path)
     remainder = dec.remainder
-    if dec.mode == "toeplitz-multiplicative" and not remainder.fir.is_zero():
+    if dec.mode == "toeplitz-multiplicative" and len(remainder.fir):
         remainder = recombine(remainder)
     _write(serialize_system(remainder), rem_path)
     report = [f"mode: {dec.mode}",

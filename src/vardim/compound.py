@@ -1,13 +1,12 @@
 """Compound systems.  The order-j compound response g_[j](t) is the
 determinant of the order-j Hankel window of g at t.  This module gives it
-as sampled determinants (all windows in one batched call), as the paper's
-C(n, j)-state realization and, for simple real poles, in partial-fraction
-form.  Checks use that form for pure pole/residue sources and the sampled
-determinants for every other source; no check builds the realization,
-which tests compare with both.  The form is built by numpy over all
-C(n, j) index tuples at once (cached read-only tables), rounding every
-product as the scalar left-to-right loop does; products are sorted once,
-merged run by run and handed to ``PartialFractionSystem`` ascending."""
+as sampled determinants (all windows in one batched call) and, for simple
+real poles, in partial-fraction form.  Checks use that form for pure
+pole/residue sources and the sampled determinants for every other source.
+The form is built by numpy over all C(n, j) index tuples at once (cached
+read-only tables), rounding every product as the scalar left-to-right loop
+does; products are sorted once, merged run by run and handed to
+``PartialFractionSystem`` ascending."""
 
 from __future__ import annotations
 
@@ -18,11 +17,8 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .lti import (PartialFractionSystem, StateSpace, _require_window,
-                  extended_controllability, extended_observability,
-                  toeplitz_matrix)
+from .lti import PartialFractionSystem, _require_window
 from .signals import Signal
-from .totpos import compound_matrix
 
 # Pole products closer than this (relative) are merged into one term.
 MERGE_TOL = 1e-12
@@ -57,27 +53,6 @@ def compound_impulse(g: Signal, j: int, horizon: int) -> Signal:
     return Signal(1, tuple(np.linalg.det(windows).tolist()))
 
 
-def toeplitz_minor(g: Signal, t: int, j: int) -> float:
-    """Determinant of the order-j Toeplitz window at offset t."""
-    return toeplitz_matrix(g, t, j).det()
-
-
-def compound_realization(ss: StateSpace, j: int) -> StateSpace:
-    """State space of the order-j compound system.
-
-    The state matrix is the j-th multiplicative compound of A; input and
-    output maps are the compounds of the extended controllability and
-    observability blocks.  State dimension is C(n, j).
-    """
-    n = ss.order
-    if not 1 <= j <= n:
-        raise ValueError(f"compound order j={j} out of range for n={n}")
-    A = compound_matrix(ss.A, j)
-    b = compound_matrix(extended_controllability(ss, j), j).reshape(-1)
-    c = compound_matrix(extended_observability(ss, j), j).reshape(-1)
-    return StateSpace(A, b, c)
-
-
 @functools.lru_cache(maxsize=INDEX_TABLES)
 def index_tuples(n: int, j: int) -> np.ndarray:
     """Read-only j x C(n, j) table whose column i is the i-th tuple of
@@ -103,7 +78,7 @@ def compound_transfer(pfs: PartialFractionSystem,
     """
     residues, poles = pfs.arrays
     n = len(residues)
-    if not pfs.fir.is_zero():
+    if len(pfs.fir):
         raise ValueError("compound transfer needs a pure pole/residue form")
     if j == 1:
         return pfs

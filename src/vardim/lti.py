@@ -101,7 +101,9 @@ class PartialFractionSystem:
 
     ``terms`` holds (residue, pole) pairs; the impulse response is
     residue * pole**(t-1) for t >= 1 from each term, plus the FIR samples.
-    Zero residues are dropped; an empty system is the zero system.
+    Zero residues are dropped and the FIR tail is trimmed to its exactly
+    nonzero samples, however small they are; an empty system is the zero
+    system.
 
     The state is the pair of read-only ``arrays`` (residues and poles in
     dominance order).  ``terms`` is built from them when first read, and
@@ -124,6 +126,7 @@ class PartialFractionSystem:
         self._set_arrays(*_dominance_arrays(rp[:, 0], rp[:, 1]))
         if self.fir.support_start < 0:
             raise ValueError("FIR tail samples must sit at t >= 0")
+        object.__setattr__(self, "fir", self.fir.trimmed(0.0))
 
     @classmethod
     def _from_ascending(cls, r: np.ndarray,
@@ -166,18 +169,17 @@ class PartialFractionSystem:
         return len(self._r) + self._fir_span()
 
     def _fir_span(self) -> int:
-        f = self.fir.trimmed()
-        return 0 if len(f) == 0 else f.support_end
+        return self.fir.support_end if len(self.fir) else 0
 
     def is_zero(self) -> bool:
-        return len(self._r) == 0 and self.fir.is_zero()
+        return len(self._r) == 0 and not len(self.fir)
 
     def scaled(self, a: float) -> "PartialFractionSystem":
         """``a`` times the system.  When every a * r is finite and nonzero
         the sorted, separated poles are reused as they are; otherwise the
         scaled pairs go through the constructor."""
         r = a * self._r
-        fir = self.fir.scaled(a)
+        fir = self.fir.scaled(a).trimmed(0.0)
         if not (np.isfinite(r).all() and r.all()):
             return PartialFractionSystem(np.column_stack((r, self._p)), fir)
         out = object.__new__(PartialFractionSystem)
@@ -307,11 +309,6 @@ def polynomial_roots(coeffs: Sequence[float]) -> tuple:
     return _sorted_roots(snapped)
 
 
-def zeros(rtf: RationalTransferFunction) -> tuple:
-    """Numerator roots in dominance order."""
-    return rtf.zeros
-
-
 def partial_fraction_samples(terms, fir: Signal, times) -> list:
     """Samples at ``times`` of the sum of r * p**(t-1) over (r, p) in
     ``terms`` plus the FIR tail, every term rounded once and every sum
@@ -428,7 +425,7 @@ def recombine(pfs: PartialFractionSystem) -> RationalTransferFunction:
             rest = np.poly(poles[:i] + poles[i + 1:]) if len(poles) > 1 \
                 else np.asarray([1.0])
             num = np.polyadd(num, r * rest)
-    fir = pfs.fir.trimmed()
+    fir = pfs.fir
     if len(fir):
         if fir.value(0) != 0.0:
             raise UnsupportedRepresentationError(
@@ -443,50 +440,6 @@ def recombine(pfs: PartialFractionSystem) -> RationalTransferFunction:
             num_full = np.polyadd(num_full, np.polymul(shift, den))
         num, den = num_full, den_full
     return RationalTransferFunction(tuple(num), tuple(den))
-
-
-def to_state_space(pfs: PartialFractionSystem,
-                   symmetric: bool = False) -> StateSpace:
-    """Diagonal realization A = diag(p), b = residues, c = ones.
-
-    With ``symmetric=True`` the square-root splitting b = c.T = sqrt(r) is
-    used instead; it requires all residues nonnegative.  A FIR tail is
-    realized by an appended shift chain (its t=0 sample must be zero).
-    """
-    diag = list(pfs.poles)
-    if symmetric:
-        if any(r < 0 for r in pfs.residues):
-            raise ValueError("symmetric splitting needs nonnegative residues")
-        if not pfs.fir.is_zero():
-            raise UnsupportedRepresentationError(
-                "symmetric splitting does not cover FIR tails")
-        roots = [math.sqrt(r) for r in pfs.residues]
-        b = np.asarray(roots)
-        c = np.asarray(roots)
-    else:
-        b = np.asarray(pfs.residues, dtype=float)
-        c = np.ones(len(diag))
-    fir = pfs.fir.trimmed()
-    span = 0 if len(fir) == 0 else fir.support_end
-    if span:
-        if fir.value(0) != 0.0:
-            raise UnsupportedRepresentationError(
-                "FIR sample at t=0 needs a feedthrough term; none exists")
-        n = len(diag)
-        A = np.zeros((n + span, n + span))
-        A[:n, :n] = np.diag(diag) if n else A[:n, :n]
-        for i in range(span - 1):
-            A[n + i + 1, n + i] = 1.0
-        bb = np.zeros(n + span)
-        bb[:n] = b
-        bb[n] = 1.0
-        cc = np.zeros(n + span)
-        cc[:n] = c
-        cc[n:] = [fir.value(tau) for tau in range(1, span + 1)]
-        return StateSpace(A, bb, cc)
-    if not diag:
-        raise DegenerateSystemError("zero system has no realization")
-    return StateSpace(np.diag(diag), b, c)
 
 
 def rtf_to_state_space(rtf: RationalTransferFunction) -> StateSpace:
@@ -535,26 +488,6 @@ def canonical(sys: SystemLike) -> Union[PartialFractionSystem, StateSpace]:
     drop = MODE_DROP_TOL * max(1.0, float(np.max(np.abs(residues))))
     return PartialFractionSystem(tuple(
         (float(r), float(p)) for r, p in zip(residues, lam) if abs(r) > drop))
-
-
-def extended_controllability(ss: StateSpace, j: int) -> np.ndarray:
-    """Columns b, Ab, ..., A^(j-1) b."""
-    if j < 1:
-        raise ValueError("block count j must be >= 1")
-    cols = [ss.b]
-    for _ in range(j - 1):
-        cols.append(ss.A @ cols[-1])
-    return np.column_stack(cols)
-
-
-def extended_observability(ss: StateSpace, j: int) -> np.ndarray:
-    """Rows c, cA, ..., cA^(j-1)."""
-    if j < 1:
-        raise ValueError("block count j must be >= 1")
-    rows = [ss.c]
-    for _ in range(j - 1):
-        rows.append(rows[-1] @ ss.A)
-    return np.vstack(rows)
 
 
 def _require_window(g: Signal, lo: int, hi: int, what: str):

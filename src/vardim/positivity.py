@@ -316,8 +316,7 @@ def _witness_horizon(pfs: PartialFractionSystem, start: int,
     0 when even the first exceeds the cap; never past ``_finite_stop``."""
     rho = max((abs(p) for p in pfs.poles), default=0.0)
     weight = math.fsum(np.abs(pfs.arrays[0]).tolist())
-    fir = pfs.fir.trimmed()
-    fir_end = fir.support_end if len(fir) else 0
+    fir_end = pfs.fir.support_end if len(pfs.fir) else 0
     horizon = max(start, 8)
     last = 0
     while horizon <= WITNESS_SEARCH_CAP:
@@ -349,9 +348,8 @@ def check_external(sys, horizon: int = DEFAULT_HORIZON) -> PositivityReport:
     if not isinstance(pfs, PartialFractionSystem):
         return _check_external_sampled(impulse_response(sys, horizon), horizon)
     theta = SAMPLE_TOL * (_sample_scale(pfs) if not pfs.is_zero() else 1.0)
-    need = max(horizon, pfs.fir.support_end + 1 if len(pfs.fir) else 1)
-    fir = pfs.fir.trimmed()
-    fir_end = fir.support_end if len(fir) else 0
+    fir_end = pfs.fir.support_end if len(pfs.fir) else 0
+    need = max(horizon, fir_end + 1)
     dominance_from = None
     residues, poles = pfs.arrays
     if len(residues):
@@ -420,7 +418,7 @@ def _compound(form, j: int, horizon: int):
     g_[j](1..horizon), each the determinant of an order-j Hankel window."""
     if j == 1:
         return form
-    if isinstance(form, PartialFractionSystem) and form.fir.is_zero():
+    if isinstance(form, PartialFractionSystem) and not len(form.fir):
         return compound_transfer(form, j)
     return compound_impulse(impulse_response(form, horizon + 2 * j - 2), j,
                             horizon)
@@ -665,7 +663,7 @@ def check_relaxation(pfs: PartialFractionSystem, J: int = 6,
     of the impulse response are nonnegative samplewise for orders 0..J.
     The three must agree for bounded impulse responses.
     """
-    if not pfs.fir.is_zero():
+    if len(pfs.fir):
         raise UnsupportedRepresentationError(
             "relaxation bundle needs a pure pole/residue form")
     n = len(pfs.terms)
@@ -734,7 +732,7 @@ def hankel_decompose(pfs: PartialFractionSystem, k: int,
     is vetted at order k-1 at the necessary-condition tier (coefficient
     signs plus leading compound samples).
     """
-    if not pfs.fir.is_zero():
+    if len(pfs.fir):
         raise UnsupportedRepresentationError(
             "decomposition needs a pure pole/residue form")
     n = len(pfs.terms)
@@ -786,7 +784,7 @@ def toeplitz_decompose(sys, k: int,
     if not isinstance(pfs, PartialFractionSystem):
         raise UnsupportedRepresentationError(
             "decomposition needs simple real poles")
-    if not pfs.fir.is_zero():
+    if len(pfs.fir):
         raise UnsupportedRepresentationError(
             "decomposition needs a pure pole/residue form")
     n = len(pfs.terms)
@@ -823,8 +821,7 @@ def toeplitz_decompose(sys, k: int,
     if abs(fir.get(1, 0.0)) <= SAMPLE_TOL * _sample_scale(pfs):
         fir[1] = 0.0
     span = max(fir)
-    fir_signal = Signal(1, tuple(fir.get(t, 0.0)
-                                 for t in range(1, span + 1))).trimmed(0.0)
+    fir_signal = Signal(1, tuple(fir.get(t, 0.0) for t in range(1, span + 1)))
     remainder = PartialFractionSystem(tuple(terms), fir_signal)
     dominant = PartialFractionSystem(((p1, p1),)) if p1 != 0 else \
         PartialFractionSystem(())
@@ -841,7 +838,7 @@ def check_hankel_total(sys, horizon: int = DEFAULT_HORIZON) -> PositivityReport:
         return PositivityReport(
             HANKEL_TOTAL, None, REFUTED, horizon,
             witness={"kind": "non-real-or-repeated-poles"})
-    fir = pfs.fir.trimmed()
+    fir = pfs.fir
     terms = list(pfs.terms)
     if len(fir):
         if fir.support_end > 1 or fir.value(0) != 0.0:
@@ -968,6 +965,5 @@ def diff_system(pfs: PartialFractionSystem) -> PartialFractionSystem:
     fir = {t: fir_src.value(t) - fir_src.value(t + 1) for t in range(end + 1)}
     fir[0] = fir.get(0, 0.0) - math.fsum(pfs.residues)
     span = max(fir)
-    sig = Signal(0, tuple(fir.get(t, 0.0) for t in range(span + 1))).trimmed(
-        0.0)
+    sig = Signal(0, tuple(fir.get(t, 0.0) for t in range(span + 1)))
     return PartialFractionSystem(terms, sig)

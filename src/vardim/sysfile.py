@@ -123,7 +123,7 @@ def serialize_system(sys: Union[PartialFractionSystem,
     if isinstance(sys, PartialFractionSystem):
         lines = [f"poles = {_fmt_vec(sys.poles)}",
                  f"residues = {_fmt_vec(sys.residues)}"]
-        fir = sys.fir.trimmed()
+        fir = sys.fir
         if len(fir):
             if fir.support_start < 1:
                 raise ValueError("serializable FIR tails start at t >= 1")

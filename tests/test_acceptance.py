@@ -14,10 +14,10 @@ from contextlib import contextmanager
 import mpmath as mp
 import numpy as np
 
-from vardim.compound import (compound_impulse, compound_realization,
-                             compound_transfer)
-from vardim.lti import (PartialFractionSystem, impulse_response,
-                        recombine, to_state_space)
+from reference import (compound_matrix, compound_realization,
+                       desnanot_jacobi_residual, to_state_space)
+from vardim.compound import compound_impulse, compound_transfer
+from vardim.lti import PartialFractionSystem, impulse_response, recombine
 from vardim.oracle import (DEMO_FUTURE_GROWTH, DEMO_PAST_DIMINISH,
                            DEMO_PAST_ORDER_FLIP, apply_hankel,
                            apply_toeplitz, demo_system, heavy_ball,
@@ -26,7 +26,7 @@ from vardim.positivity import (CERTIFIED, REFUTED, check_hankel_k,
                                check_relaxation, check_toeplitz_k,
                                hankel_decompose, toeplitz_decompose)
 from vardim.signals import first_nonzero_sign, variation
-from vardim.totpos import (compound_matrix, desnanot_jacobi_residual, is_psd)
+from vardim.totpos import is_psd
 
 DEMO = demo_system()
 

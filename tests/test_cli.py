@@ -7,6 +7,7 @@ from vardim.lti import (PartialFractionSystem, RationalTransferFunction,
 from vardim.sysfile import (load_system, parse_system, serialize_system)
 from vardim.errors import ParseError
 from vardim.oracle import ovd_verify
+from vardim.signals import Signal
 
 DEMO_TEXT = """\
 # three-lag demo bank
@@ -67,6 +68,12 @@ class TestSysfile:
                 assert abs(ga.value(t) - gb.value(t)) <= 1e-9 * max(
                     scale, 1.0)
 
+    def test_round_trip_keeps_tiny_fir_sample(self):
+        sys = PartialFractionSystem(((1.0, 0.5),), Signal(1, (0.0, 1e-13)))
+        back = parse_system(serialize_system(sys))
+        assert back.fir == Signal(2, (1e-13,))
+        assert back == sys
+
 
 class TestCliCommands:
     def test_impulse_csv(self, demo_file, capsys):
@@ -113,6 +120,15 @@ class TestCliCommands:
                      "hankel", "--k", "3"]) == 4
         assert main(["check", "--system", demo_file, "--operator",
                      "toeplitz", "--k", "2"]) == 4
+
+    def test_check_tiny_fir_sample_refuted(self, tmp_path, capsys):
+        path = tmp_path / "fir.sys"
+        path.write_text("poles = []\nresidues = []\nfir = [-1e-13]\n")
+        assert main(["check", "--system", str(path), "--operator",
+                     "external"]) == 4
+        out = capsys.readouterr().out
+        assert "verdict: refuted" in out
+        assert "  time: 1\n" in out and "  value: -1e-13\n" in out
 
     def test_check_unsupported_exit_5(self, tmp_path):
         path = tmp_path / "zp.sys"

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from reference import is_k_positive
 from vardim.compound import compound_transfer
 from vardim.errors import BudgetExceededError
 from vardim.lti import PartialFractionSystem, impulse_response
@@ -12,7 +13,6 @@ from vardim.oracle import apply_hankel, apply_nonlinearity
 from vardim.positivity import (CERTIFIED, HOLDS, check_external,
                                check_hankel_k)
 from vardim.signals import Signal, forward_difference, variation
-from vardim.totpos import is_k_positive
 
 
 def _random_bank(rng, n, positive=False):

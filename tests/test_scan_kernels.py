@@ -105,7 +105,7 @@ def ref_scale(pfs: PartialFractionSystem) -> float:
 def ref_negative_sample(pfs, start, tol):
     rho = max((abs(p) for p in pfs.poles), default=0.0)
     weight = math.fsum(abs(r) for r in pfs.residues)
-    fir = pfs.fir.trimmed()
+    fir = pfs.fir.trimmed(0.0)
     fir_end = fir.support_end if len(fir) else 0
     # The last t at which max(1, weight) * rho^(t+1) is still a double.
     last = WITNESS_SEARCH_CAP
@@ -153,8 +153,8 @@ def ref_check_external(pfs, horizon=64, tol=SAMPLE_TOL) -> PositivityReport:
     strict = all(p1 - abs(p) > DOMINANCE_MARGIN * max(1.0, p1)
                  for _, p in rest)
     if strict and p1 > 0 and r1 > 0:
-        fir_end = pfs.fir.trimmed().support_end if len(pfs.fir.trimmed()) \
-            else 0
+        fir = pfs.fir.trimmed(0.0)
+        fir_end = fir.support_end if len(fir) else 0
         for t_star in range(max(1, fir_end + 1), need + 1):
             lead = r1 * p1 ** (t_star - 1)
             tail = math.fsum(abs(r) * abs(p) ** (t_star - 1)

