@@ -294,29 +294,58 @@ def _lattice_candidates(alpha: tuple, length: int, zero_tol: float,
     return out
 
 
+def _lattice_blocks(alpha: list, length: int, k: int, signs):
+    """The cached lattice candidates ``OVD_BLOCK`` at a time, with the
+    output variations and leading signs that ``signs`` gives a block of
+    inputs.
+
+    On a sign-symmetric alphabet (sorted, it equals its own negation
+    reversed) the candidates pair up in product order: row n-1-i is the
+    negation of row i, so the rows of the second half take the output
+    variation of their twin and the negation of its leading sign.  The
+    signs are decided with a guard band around the zero level, so those
+    of the negated input are exactly these.  ``signs`` then sees only the
+    first half of the lattice.
+    """
+    U, su, fu = _lattice_candidates(tuple(alpha), length, ZERO_TOL, k)
+    n = len(U)
+    half = n // 2 if alpha == [-a for a in reversed(alpha)] else n
+    sy, fy = np.empty(n, np.intp), np.empty(n, np.int8)
+    for start in range(0, n, OVD_BLOCK):
+        stop = min(start + OVD_BLOCK, n)
+        mid = min(max(start, half), stop)
+        if mid > start:
+            sy[start:mid], fy[start:mid] = signs(U[start:mid])
+        # Reversed, row i of the arrays is row n-1-i.
+        sy[mid:stop] = sy[::-1][mid:stop]
+        fy[mid:stop] = -fy[::-1][mid:stop]
+        block = slice(start, stop)
+        yield (U[block], su[block], fu[block], sy[block], fy[block],
+               lambda js, U=U[block]: list(map(tuple, U[js].tolist())))
+
+
 def _candidate_blocks(extras: list, alpha: list, length: int, k: int,
-                      samples: int, seed: int):
+                      samples: int, seed: int, signs):
     """Blocks of candidate inputs in order: injected vectors, the lattice,
     then seeded uniform samples.  Each block holds only the inputs with at
     most k-1 sign changes and a nonzero sample, as (rows, variations,
-    leading signs, inputs of a row-index array)."""
+    leading signs, output variations, output leading signs, inputs of a
+    row-index array); the output signs are those that ``signs`` gives the
+    rows, or their lattice twins'."""
     for start in range(0, len(extras), OVD_BLOCK):
         chunk = extras[start:start + OVD_BLOCK]
         U = np.zeros((len(chunk), length))
         for i, u in enumerate(chunk):
             U[i, :len(u)] = u
         rows, su, fu = candidate_rows(U, k - 1, ZERO_TOL)
-        yield (U[rows], su, fu,
+        yield (U[rows], su, fu, *signs(U[rows]),
                lambda js, c=chunk, r=rows: [c[i] for i in r[js]])
-    U, su, fu = _lattice_candidates(tuple(alpha), length, ZERO_TOL, k)
-    for start in range(0, len(U), OVD_BLOCK):
-        block = slice(start, start + OVD_BLOCK)
-        yield (U[block], su[block], fu[block],
-               lambda js, U=U[block]: list(map(tuple, U[js].tolist())))
+    yield from _lattice_blocks(alpha, length, k, signs)
     for U in sample_blocks(samples, seed, length):
         rows, su, fu = candidate_rows(U, k - 1, ZERO_TOL)
-        yield (U[rows], su, fu,
-               lambda js, U=U[rows]: list(map(tuple, U[js].tolist())))
+        U = U[rows]
+        yield (U, su, fu, *signs(U),
+               lambda js, U=U: list(map(tuple, U[js].tolist())))
 
 
 def ovd_matrix(matrix, k: int, alphabet: Sequence[float] = (-1, 0, 1),
@@ -335,8 +364,10 @@ def ovd_matrix(matrix, k: int, alphabet: Sequence[float] = (-1, 0, 1),
     checked ``OVD_BLOCK`` at a time, one matrix product per block.  The
     lattice candidates of each k (inputs, variations, leading signs) are
     cached read-only per alphabet and length, so the lattice runs as
-    full blocks.  Each block keeps its hits; the report builds the
-    violations from them only when they are read.
+    full blocks; on a sign-symmetric alphabet only its first half is
+    multiplied, and the second half, its negation, reuses those signs.
+    Each block keeps its hits; the report builds the violations from them
+    only when they are read.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -357,11 +388,11 @@ def ovd_matrix(matrix, k: int, alphabet: Sequence[float] = (-1, 0, 1),
 
     blocks = []
     checked = 0
-    for U, su, fu, inputs_of in _candidate_blocks(
-            extras, alpha, length, k, samples, seed):
+    for U, su, fu, sy, fy, inputs_of in _candidate_blocks(
+            extras, alpha, length, k, samples, seed,
+            lambda U: output_signs(X, U, eff_tol)):
         if not len(U):
             continue
-        sy, fy = output_signs(X, U, eff_tol)
         grew = sy > su
         hits = np.flatnonzero(grew | ((sy == su) & (fy != 0) & (fy != fu)))
         # The scan stops right after the candidate that brings the

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -12,6 +13,9 @@ import numpy as np
 ZERO_TOL = 1e-12
 # Relative slack for determinant-like shape inequalities.
 SHAPE_TOL = 1e-9
+# Columns per base-3 sign word in ``row_variations``: a table of 3^8
+# words.
+SIGN_WORD = 8
 
 
 @dataclass(frozen=True)
@@ -62,10 +66,11 @@ class Signal:
         return self.scaled(-1.0)
 
     def trimmed(self, zero_tol: float = ZERO_TOL) -> "Signal":
-        """Shrink the stored window to the nonzero support."""
+        """Shrink the stored window to the nonzero support; with none
+        left, the zero signal ``Signal()``."""
         idx = [i for i, v in enumerate(self.values) if abs(v) > zero_tol]
         if not idx:
-            return Signal(self.support_start, ())
+            return Signal()
         return Signal(self.support_start + idx[0],
                       self.values[idx[0]:idx[-1] + 1])
 
@@ -128,20 +133,64 @@ def first_nonzero_sign(u, zero_tol: float = ZERO_TOL) -> int:
     return 0
 
 
+def _join(changes, first, last, w_changes, w_first, w_last) -> tuple:
+    """(sign changes, first and last nonzero sign) of a sign sequence
+    followed by a word: a zero first or last sign is filled in from the
+    neighbour."""
+    return (changes + w_changes + (last * w_first < 0),
+            first + w_first * (first == 0),
+            w_last + last * (w_last == 0))
+
+
+@functools.lru_cache(maxsize=None)
+def _word_table(width: int) -> tuple:
+    """(sign changes, first and last nonzero sign) of every sign word of
+    ``width`` columns, as read-only arrays indexed by the word's code: the
+    sum of (s mod 3) * 3^j over its signs s, column j first.  Built by
+    joining one column at a time."""
+    codes = np.arange(3 ** width)
+    zero = np.zeros(len(codes), np.int8)
+    word = (zero.astype(np.intp), zero, zero)
+    for j in range(width):
+        s = np.array([0, 1, -1], np.int8)[codes // 3 ** j % 3]
+        word = _join(*word, 0, s, s)
+    for arr in word:
+        arr.setflags(write=False)
+    return word
+
+
+@functools.lru_cache(maxsize=64)
+def _word_powers(columns: int) -> np.ndarray:
+    """(words, columns) matrix that maps the sign digits of a row of
+    ``columns`` samples to the codes of its ``SIGN_WORD``-column words; a
+    row of no columns is one empty word.  Read-only."""
+    column = np.arange(columns)
+    powers = np.zeros((max(-(-columns // SIGN_WORD), 1), columns))
+    powers[column // SIGN_WORD, column] = 3.0 ** (column % SIGN_WORD)
+    powers.setflags(write=False)
+    return powers
+
+
 def row_variations(rows, zero_tol: float = ZERO_TOL) -> tuple:
     """``variation`` and ``first_nonzero_sign`` of every row of a 2-D
-    array, as two integer arrays."""
+    array, as two integer arrays.
+
+    Each run of ``SIGN_WORD`` columns is one base-3 word, coded by one
+    matrix product and looked up in ``_word_table``; the words of a row
+    are joined from left to right.  A short last word reads as one padded
+    with zero signs.
+    """
     a = np.asarray(rows, dtype=float)
+    # The digit s mod 3 of the sign s: +1 above zero_tol, else -1 below
+    # -zero_tol, else 0 (NaN included).
     pos = a > zero_tol
-    signs = pos.view(np.int8) - ((a < -zero_tol) & ~pos).view(np.int8)
-    changes = np.zeros(len(a), dtype=int)
-    first = np.zeros(len(a), dtype=np.int8)
-    # The latest nonzero sign of each row so far, as ``variation`` keeps it.
-    last = np.zeros(len(a), dtype=np.int8)
-    for s in signs.T.copy():
-        changes += s * last < 0
-        np.copyto(first, s, where=first == 0)
-        np.copyto(last, s, where=s != 0)
+    digits = pos.view(np.int8) + 2 * ((a < -zero_tol) & ~pos).view(np.int8)
+    codes = (_word_powers(a.shape[1]) @ digits.T).astype(np.intp)
+    table = _word_table(SIGN_WORD)
+    changes, first, last = (t[codes[0]] for t in table)
+    for code in codes[1:]:
+        changes, first, last = _join(changes, first, last,
+                                     *(t[code] for t in table))
     return changes, first
 
 

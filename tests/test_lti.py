@@ -47,6 +47,14 @@ class TestPartialFractionSystem:
         pfs = PartialFractionSystem(((0.0, 0.5), (1.0, 0.3)))
         assert pfs.poles == (0.3,)
 
+    def test_zero_fir_tails_are_one_tail(self):
+        # An all-zero tail trims to the zero signal wherever it started.
+        zero = PartialFractionSystem(())
+        for fir in (Signal(1, (0.0,)), Signal(3, (0.0, 0.0)), Signal(2, ())):
+            pfs = PartialFractionSystem((), fir)
+            assert pfs == zero and hash(pfs) == hash(zero)
+            assert pfs.fir == Signal()
+
 
 class TestImpulseResponse:
     def test_demo_values(self):

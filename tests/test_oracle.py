@@ -412,6 +412,86 @@ class TestOvdVerifyFullLattice:
         assert peak < 2 << 20
 
 
+# A seeded mixed-sign matrix: it violates all over every lattice below.
+MIRROR_X = np.random.default_rng(18).normal(size=(10, 9))
+# Sign-symmetric alphabets with the input length and k of their lattice:
+# five blocks, one block of 512 candidates, three blocks.
+SYMMETRIC = [((-1, 0, 1), 9, 3), ((-1, 1), 9, 9),
+             ((-2, -0.5, 0.5, 2), 7, 3)]
+
+
+def lattice_of(alphabet, length, k):
+    key = tuple(sorted(float(a) for a in alphabet))
+    return _lattice_candidates(key, length, 1e-12, k)
+
+
+class TestSignMirror:
+    @pytest.mark.parametrize("alphabet", [(-1, 0, 1), (-1, 1),
+                                          (-2, -0.5, 0.5, 2)])
+    def test_candidates_pair_up_in_product_order(self, alphabet):
+        for length in range(10):
+            if len(alphabet) ** length > ENUM_CAP:
+                continue
+            for k in (1, 2, 3, 5):
+                U, su, fu = lattice_of(alphabet, length, k)
+                assert len(U) % 2 == 0
+                assert np.array_equal(U[::-1], -U)
+                assert np.array_equal(su[::-1], su)
+                assert np.array_equal(fu[::-1], -fu)
+
+    @pytest.mark.parametrize("alphabet,length,k", SYMMETRIC)
+    def test_matches_scalar_with_extras_and_samples(self, alphabet, length,
+                                                    k):
+        X = MIRROR_X[:, :length]
+        kw = dict(alphabet=alphabet, samples=OVD_BLOCK + 5, seed=3,
+                  extra_inputs=[(1.0, -2.0), (0.5,) * length])
+        got = ovd_matrix(X, k, **kw)
+        assert len(got.violations) > 50
+        assert_same_report(got, scalar_ovd_matrix(X, k, **kw))
+
+    @pytest.mark.parametrize("alphabet,length,k", SYMMETRIC)
+    def test_stop_at_either_side_of_the_midpoint(self, alphabet, length, k):
+        X = MIRROR_X[:, :length]
+        U = lattice_of(alphabet, length, k)[0]
+        where = {u: i for i, u in enumerate(map(tuple, U.tolist()))}
+        rows = [where[v.input]
+                for v in ovd_matrix(X, k, alphabet).violations]
+        half = len(U) // 2
+        # Violations come in pairs u, -u: as many in each half.
+        first = sum(r < half for r in rows)
+        assert 2 * first == len(rows) > 8
+        spanning = [i for i, r in enumerate(rows)
+                    if r // OVD_BLOCK == half // OVD_BLOCK]
+        stops = {1, first // 2, first, first + 1, first + first // 2,
+                 len(rows), spanning[0] + 1, spanning[-1] + 1}
+        for stop_at in sorted(stops):
+            got = ovd_matrix(X, k, alphabet, stop_at=stop_at)
+            assert got.inputs_checked == rows[stop_at - 1] + 1
+            assert_same_report(got, scalar_ovd_matrix(X, k, alphabet,
+                                                      stop_at=stop_at))
+
+    @pytest.mark.parametrize("alphabet", [(-1, 0, 2), (0, 1)])
+    def test_asymmetric_alphabets_full_lattice(self, alphabet):
+        got = ovd_matrix(MIRROR_X, 3, alphabet)
+        assert len(got.violations) > 50
+        assert_same_report(got, scalar_ovd_matrix(MIRROR_X, 3, alphabet))
+
+    @pytest.mark.parametrize("alphabet,share", [((-1, 0, 1), 2),
+                                                ((-1, 0, 2), 1)])
+    def test_products_see_half_a_symmetric_lattice(self, monkeypatch,
+                                                   alphabet, share):
+        seen = [0]
+        signs = oracle.output_signs
+
+        def counting(X, U, eff_tol):
+            seen[0] += len(U)
+            return signs(X, U, eff_tol)
+        monkeypatch.setattr(oracle, "output_signs", counting)
+        rep = ovd_verify(*LATTICE_ARGS, alphabet=alphabet)
+        n = len(lattice_of(alphabet, 9, 3)[0])
+        assert rep.inputs_checked == n and seen[0] * share == n
+
+
 @pytest.fixture
 def built(monkeypatch):
     """Counts the ``OvdViolation`` objects that ``ovd_verify`` reports

@@ -519,6 +519,15 @@ class TestToeplitzDecompose:
         assert rem.num == (1.0,)
         assert rem.den == (1.0, -0.5)
 
+    def test_remainder_without_tail_equals_its_terms(self):
+        # 1.8/(z-0.9) - 1/(z-0.5): the remainder's pulse at t=1 cancels, so
+        # its tail is empty and it is the pure pole/residue system.
+        dec = toeplitz_decompose(
+            PartialFractionSystem(((1.8, 0.9), (-1.0, 0.5))), 1)
+        pure = PartialFractionSystem(dec.remainder.terms)
+        assert not len(dec.remainder.fir)
+        assert dec.remainder == pure and hash(dec.remainder) == hash(pure)
+
     def test_momentum_open_loop_shape(self):
         # alpha z / ((z - 1)(z - beta)) with beta < 1 sheds its integrator
         # pole and leaves alpha / (z - beta).

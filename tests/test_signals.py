@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,9 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vardim.signals import (Signal, first_nonzero_sign, forward_difference,
-                            is_log_concave, is_log_convex, is_unimodal,
-                            row_variations, variation)
+from vardim.signals import (SIGN_WORD, Signal, first_nonzero_sign,
+                            forward_difference, is_log_concave,
+                            is_log_convex, is_unimodal, row_variations,
+                            variation)
 
 
 class TestVariation:
@@ -64,6 +66,31 @@ class TestRowVariations:
             np.array(rows, dtype=float).reshape(len(rows), width), tol)
         assert changes.tolist() == [variation(r, tol) for r in rows]
         assert first.tolist() == [first_nonzero_sign(r, tol) for r in rows]
+
+    # One, two and three sign words, and every sample that reads as zero:
+    # +-tol, +-0.0 and NaN, besides +-inf.
+    @given(st.integers(0, 25).flatmap(lambda width: st.tuples(
+               st.just(width),
+               st.lists(st.lists(EDGE_SAMPLES | st.sampled_from(
+                                     [math.nan, math.inf, -math.inf])
+                                 | st.floats(-2.0, 2.0),
+                                 min_size=width, max_size=width),
+                        max_size=6))),
+           st.sampled_from(TOLS))
+    def test_sign_words_match_scalar_counts(self, shaped, tol):
+        width, rows = shaped
+        changes, first = row_variations(
+            np.array(rows, dtype=float).reshape(len(rows), width), tol)
+        for row, c, f in zip(rows, changes.tolist(), first.tolist()):
+            assert (c, f) == (variation(row, tol),
+                              first_nonzero_sign(row, tol))
+
+    def test_every_sign_word_matches_scalar_counts(self):
+        words = np.array(list(itertools.product((-1.0, 0.0, 1.0),
+                                                repeat=SIGN_WORD)))
+        changes, first = row_variations(words)
+        assert changes.tolist() == [variation(w) for w in words]
+        assert first.tolist() == [first_nonzero_sign(w) for w in words]
 
     def test_empty_rows_and_columns(self):
         for shape in ((0, 4), (3, 0)):
@@ -167,3 +194,9 @@ class TestSignalType:
         s = Signal(0, (0.0, 0.0, 1.0, 0.0, 2.0, 0.0)).trimmed()
         assert s.support_start == 2
         assert s.values == (1.0, 0.0, 2.0)
+
+    @pytest.mark.parametrize("signal", [Signal(1, (0.0,)), Signal(5, ()),
+                                        Signal(-2, (1e-13, -1e-13))])
+    def test_trimmed_to_nothing_is_the_zero_signal(self, signal):
+        s = signal.trimmed()
+        assert s == Signal() and hash(s) == hash(Signal())
