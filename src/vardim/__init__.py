@@ -28,9 +28,9 @@ from .positivity import (CERTIFIED, HOLDS, REFUTED, UNSUPPORTED,
                          check_toeplitz_total, diff_system, hankel_decompose,
                          necessary_coefficients, render_report,
                          repeated_pole_check, toeplitz_decompose)
-from .oracle import (HeavyBallScenario, NeuronalCondition, OperatorTruncation,
-                     OvdReport, OvdViolation, ScenarioResult,
-                     apply_hankel, apply_nonlinearity, apply_toeplitz,
+from .oracle import (HeavyBallScenario, NeuronalCondition, OvdReport,
+                     OvdViolation, ScenarioResult, apply_hankel,
+                     apply_nonlinearity, apply_toeplitz,
                      demo_system, hankel_truncation, heavy_ball,
                      neuronal_condition, ovd_matrix, ovd_verify,
                      run_scenario, toeplitz_truncation)

@@ -150,6 +150,9 @@ def cmd_compound(args) -> int:
     if not isinstance(pfs, PartialFractionSystem):
         raise UnsupportedRepresentationError(
             "compound reports need simple real poles")
+    if len(pfs.fir):
+        raise UnsupportedRepresentationError(
+            "compound reports need a pure pole/residue form")
     n = len(pfs.terms)
     horizon = args.horizon
     lines = [f"compound-order: {args.j}"]

@@ -17,11 +17,11 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .errors import UnsupportedRepresentationError
 from .lti import PartialFractionSystem, _require_window
 from .signals import Signal
+from .tolerance import ZERO_TOL
 
-# Pole products closer than this (relative) are merged into one term.
-MERGE_TOL = 1e-12
 # (n, j) index tables kept by ``index_tuples``: every key of a Toeplitz
 # ladder over n in {3, 6, 10, 12, 16} (43 keys), which would miss on every
 # lookup in a smaller LRU since each pass visits the keys in one order.
@@ -72,14 +72,15 @@ def compound_transfer(pfs: PartialFractionSystem,
     system: one term per index tuple v, with pole prod(p_v) and residue
     prod(r_v) times the squared pole gaps inside v.
 
-    Terms whose pole products coincide (within ``MERGE_TOL``) are merged
+    Terms whose pole products coincide (within ``ZERO_TOL``) are merged
     into one, whose residue is the correctly rounded sum of theirs: one
     IEEE add for a pair, ``math.fsum`` for more.
     """
     residues, poles = pfs.arrays
     n = len(residues)
     if len(pfs.fir):
-        raise ValueError("compound transfer needs a pure pole/residue form")
+        raise UnsupportedRepresentationError(
+            "compound transfer needs a pure pole/residue form")
     if j == 1:
         return pfs
     if not 2 <= j <= n:
@@ -133,14 +134,14 @@ def _merge_heads(pole: np.ndarray):
     when every product is a group of its own.
 
     A pole joins the group of its predecessor when it lies within
-    ``MERGE_TOL`` (relative) of that group's first pole.  A step wider than
-    ``MERGE_TOL * max(1, max|pole|)`` always starts a group.  A run of
-    narrower steps whose whole span is within ``MERGE_TOL * max(1, |p|)``
+    ``ZERO_TOL`` (relative) of that group's first pole.  A step wider than
+    ``ZERO_TOL * max(1, max|pole|)`` always starts a group.  A run of
+    narrower steps whose whole span is within ``ZERO_TOL * max(1, |p|)``
     of its first pole p is one group; only the runs that span more are
     decided one step at a time.
     """
     scale = max(1.0, float(np.max(np.abs(pole))))
-    steps = np.flatnonzero(pole[1:] - pole[:-1] <= MERGE_TOL * scale)
+    steps = np.flatnonzero(pole[1:] - pole[:-1] <= ZERO_TOL * scale)
     if not len(steps):
         return None
     head = np.ones(len(pole), dtype=bool)
@@ -149,7 +150,7 @@ def _merge_heads(pole: np.ndarray):
     # largest pole of each run is the last.
     first = np.flatnonzero(head)
     low = pole[first]
-    wide = np.maximum.reduceat(pole, first) - low > MERGE_TOL * np.maximum(
+    wide = np.maximum.reduceat(pole, first) - low > ZERO_TOL * np.maximum(
         1.0, np.abs(low))
     if not wide.any():
         return first
@@ -157,7 +158,7 @@ def _merge_heads(pole: np.ndarray):
     for h, end in zip(first[wide].tolist(), ends[wide].tolist()):
         for i in range(h + 1, end):
             a, b = float(pole[i]), float(pole[h])
-            if abs(a - b) > MERGE_TOL * max(1.0, abs(a), abs(b)):
+            if abs(a - b) > ZERO_TOL * max(1.0, abs(a), abs(b)):
                 head[i] = True
                 h = i
     return None if head.all() else np.flatnonzero(head)

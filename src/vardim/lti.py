@@ -19,21 +19,8 @@ import numpy as np
 from .errors import (BudgetExceededError, DegenerateSystemError,
                      UnsupportedRepresentationError, WindowError)
 from .signals import Signal
+from .tolerance import ROOT_TOL, SLACK_TOL, ZERO_TOL
 
-# Roots whose imaginary part falls below this (relative) level are snapped
-# to the real axis after companion-matrix root extraction.
-REAL_SNAP_TOL = 1e-8
-# Relative separation below which two poles count as repeated.
-POLE_SEP_TOL = 1e-12
-# Relative distance at which a pole and a zero of a rational transfer
-# function count as one cancelling factor.
-POLE_ZERO_TOL = 1e-9
-# Relative eigenvalue gap below which ``canonical`` keeps a state space
-# instead of diagonalising it.
-MODE_SEP_TOL = 1e-9
-# Residues below this share of the largest one are dropped by ``canonical``
-# as uncontrollable or unobservable modes.
-MODE_DROP_TOL = 1e-12
 DEFAULT_HORIZON = 64
 
 
@@ -86,8 +73,7 @@ def _dominance_arrays(r: np.ndarray, p: np.ndarray,
         order = np.lexsort((-p, -np.abs(p)))
         r, p = r[order], p[order]
     scale = np.maximum(np.abs(p), 1.0)
-    near = np.abs(np.diff(p)) <= POLE_SEP_TOL * np.maximum(scale[:-1],
-                                                           scale[1:])
+    near = np.abs(np.diff(p)) <= ZERO_TOL * np.maximum(scale[:-1], scale[1:])
     if near.any():
         raise UnsupportedRepresentationError(
             f"repeated pole {float(p[np.argmax(near)])}; use StateSpace "
@@ -216,7 +202,7 @@ class RationalTransferFunction:
         scale = max(1.0, max(abs(p) for p in self.poles))
         for p in self.poles:
             for z in self.zeros:
-                if abs(p - z) <= POLE_ZERO_TOL * scale:
+                if abs(p - z) <= SLACK_TOL * scale:
                     raise ValueError(
                         f"pole {p} and zero {z} coincide; cancel the factor")
 
@@ -302,7 +288,7 @@ def polynomial_roots(coeffs: Sequence[float]) -> tuple:
     roots = np.roots(coeffs)
     snapped = []
     for z in roots:
-        if abs(z.imag) <= REAL_SNAP_TOL * (1.0 + abs(z)):
+        if abs(z.imag) <= ROOT_TOL * (1.0 + abs(z)):
             snapped.append(complex(z.real, 0.0))
         else:
             snapped.append(complex(z))
@@ -391,7 +377,7 @@ def partial_fractions(rtf: RationalTransferFunction) -> PartialFractionSystem:
                 f"complex pole {p}; use StateSpace")
     reals = sorted(p.real for p in poles)
     for a, b in zip(reals, reals[1:]):
-        if abs(b - a) <= POLE_SEP_TOL * scale:
+        if abs(b - a) <= ZERO_TOL * scale:
             raise UnsupportedRepresentationError(
                 f"repeated pole near {a}; use StateSpace")
     den = np.asarray(rtf.den)
@@ -475,17 +461,19 @@ def canonical(sys: SystemLike) -> Union[PartialFractionSystem, StateSpace]:
         raise TypeError(f"unsupported system type {type(sys).__name__}")
     lam, V = np.linalg.eig(sys.A)
     scale = max(1.0, float(np.max(np.abs(lam))))
-    if np.max(np.abs(lam.imag)) > REAL_SNAP_TOL * scale:
+    if np.max(np.abs(lam.imag)) > ROOT_TOL * scale:
         return sys
     lam = lam.real
-    if np.any(np.diff(np.sort(lam)) <= MODE_SEP_TOL * scale):
+    # A conditioning choice, not a repeated-pole test: eigenvectors of
+    # eigenvalues closer than this make an ill-conditioned basis.
+    if np.any(np.diff(np.sort(lam)) <= SLACK_TOL * scale):
         return sys
     try:
         W = np.linalg.inv(V.real)
     except np.linalg.LinAlgError:
         return sys
     residues = (sys.c @ V.real) * (W @ sys.b)
-    drop = MODE_DROP_TOL * max(1.0, float(np.max(np.abs(residues))))
+    drop = ZERO_TOL * max(1.0, float(np.max(np.abs(residues))))
     return PartialFractionSystem(tuple(
         (float(r), float(p)) for r, p in zip(residues, lam) if abs(r) > drop))
 

@@ -16,8 +16,9 @@ from .errors import BudgetExceededError
 from .lti import (PartialFractionSystem, RationalTransferFunction,
                   impulse_response)
 from .positivity import (CERTIFIED, PositivityReport, check_toeplitz_total)
-from .signals import (ZERO_TOL, Signal, first_nonzero_sign,
-                      forward_difference, row_variations, variation)
+from .signals import (Signal, first_nonzero_sign, forward_difference,
+                      row_variations, variation)
+from .tolerance import ZERO_TOL
 from .totpos import matrix_rank
 
 # Hard cap on the lattice points of a brute-force check.
@@ -43,21 +44,6 @@ def demo_system() -> PartialFractionSystem:
     return PartialFractionSystem(DEMO_TERMS)
 
 
-@dataclass(frozen=True)
-class OperatorTruncation:
-    """Finite matrix window of a Hankel or Toeplitz operator."""
-
-    kind: str
-    input_length: int
-    output_length: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
 def _samples(g: Signal, count: int, pad: int = 0) -> np.ndarray:
     """``pad`` zeros, then g(0), ..., g(count - 1): one zero-padded copy."""
     out = np.zeros(pad + count)
@@ -69,20 +55,24 @@ def _samples(g: Signal, count: int, pad: int = 0) -> np.ndarray:
 
 
 def hankel_truncation(g: Signal, input_length: int,
-                      output_length: int) -> OperatorTruncation:
-    """Maps the past stack (u(-1), ..., u(-L)) to outputs at t = 0..N-1."""
+                      output_length: int) -> np.ndarray:
+    """Read-only matrix that maps the past stack (u(-1), ..., u(-L)) to
+    outputs at t = 0..N-1."""
     t = np.arange(output_length)[:, None] + np.arange(1, input_length + 1)
     m = _samples(g, output_length + input_length)[t]
-    return OperatorTruncation("hankel", input_length, output_length, m)
+    m.setflags(write=False)
+    return m
 
 
 def toeplitz_truncation(g: Signal, input_length: int,
-                        output_length: int) -> OperatorTruncation:
-    """Maps inputs at t = 0..L-1 to outputs at t = 0..N-1 causally."""
+                        output_length: int) -> np.ndarray:
+    """Read-only matrix that maps inputs at t = 0..L-1 to outputs at
+    t = 0..N-1 causally."""
     # Entry (t, tau) is g(t - tau); the L leading zeros stand for t < tau.
     t = np.arange(output_length)[:, None] - np.arange(input_length)
     m = _samples(g, output_length, input_length)[t + input_length]
-    return OperatorTruncation("toeplitz", input_length, output_length, m)
+    m.setflags(write=False)
+    return m
 
 
 def _past_vector(past) -> tuple:
@@ -98,8 +88,7 @@ def _past_vector(past) -> tuple:
 def apply_hankel(g: Signal, past, output_length: int) -> Signal:
     """Free response y(t) = sum_tau g(t + tau) u(-tau) for t = 0..N-1."""
     u = _past_vector(past)
-    trunc = hankel_truncation(g, len(u), output_length)
-    y = trunc.matrix @ np.asarray(u)
+    y = hankel_truncation(g, len(u), output_length) @ np.asarray(u)
     return Signal(0, tuple(float(v) for v in y))
 
 
@@ -111,8 +100,7 @@ def apply_toeplitz(g: Signal, u, output_length: int) -> Signal:
         vec = tuple(u.value(t) for t in range(u.support_end + 1))
     else:
         vec = tuple(float(v) for v in u)
-    trunc = toeplitz_truncation(g, len(vec), output_length)
-    y = trunc.matrix @ np.asarray(vec)
+    y = toeplitz_truncation(g, len(vec), output_length) @ np.asarray(vec)
     return Signal(0, tuple(float(v) for v in y))
 
 
@@ -428,9 +416,8 @@ def ovd_verify(sys, kind: str, k: int, input_length: int, output_length: int,
         raise ValueError("output length must be >= 1")
     g = _impulse_for(sys, kind, input_length, output_length)
     build = hankel_truncation if kind == "hankel" else toeplitz_truncation
-    trunc = build(g, input_length, output_length)
-    return ovd_matrix(trunc.matrix, k, alphabet, samples, seed, extra_inputs,
-                      stop_at)
+    return ovd_matrix(build(g, input_length, output_length), k, alphabet,
+                      samples, seed, extra_inputs, stop_at)
 
 
 _BUILTIN_NONLINEARITIES = {

@@ -21,11 +21,12 @@ import numpy as np
 from .compound import compound_impulse, compound_transfer, reversal_sign
 from .errors import StructuralError, UnsupportedRepresentationError
 from .exact import serial_lag
-from .lti import (DEFAULT_HORIZON, REAL_SNAP_TOL, PartialFractionSystem,
+from .lti import (DEFAULT_HORIZON, PartialFractionSystem,
                   RationalTransferFunction, StateSpace, canonical,
                   dominance_key, hankel_matrix, impulse_response,
                   partial_fraction_samples, recombine, toeplitz_matrix)
 from .signals import Signal, forward_difference
+from .tolerance import ROOT_TOL, SLACK_TOL, ZERO_TOL
 from .totpos import is_pd, is_psd, minor_zero_threshold
 
 CERTIFIED = "certified"
@@ -33,18 +34,6 @@ HOLDS = "holds-to-horizon"
 REFUTED = "refuted"
 UNSUPPORTED = "unsupported"
 
-# Required relative gap between the two largest pole magnitudes before a
-# geometric tail certificate is issued.
-DOMINANCE_MARGIN = 1e-9
-SAMPLE_TOL = 1e-12
-# Relative slack of the alternating-difference face of ``check_relaxation``.
-RELAXATION_TOL = 1e-9
-# Relative gap below which ``repeated_pole_check`` merges two eigenvalues
-# into one pole cluster.
-POLE_CLUSTER_TOL = 1e-8
-# Relative slack of the remainder window determinants that
-# ``hankel_decompose`` spot-checks.
-SPOT_CHECK_TOL = 1e-9
 # How far the sampler is willing to extend past the horizon to pin a
 # concrete negative sample for structurally refuted systems.
 WITNESS_SEARCH_CAP = 1 << 18
@@ -347,7 +336,7 @@ def check_external(sys, horizon: int = DEFAULT_HORIZON) -> PositivityReport:
     pfs = canonical(sys)
     if not isinstance(pfs, PartialFractionSystem):
         return _check_external_sampled(impulse_response(sys, horizon), horizon)
-    theta = SAMPLE_TOL * (_sample_scale(pfs) if not pfs.is_zero() else 1.0)
+    theta = ZERO_TOL * (_sample_scale(pfs) if not pfs.is_zero() else 1.0)
     fir_end = pfs.fir.support_end if len(pfs.fir) else 0
     need = max(horizon, fir_end + 1)
     dominance_from = None
@@ -355,7 +344,7 @@ def check_external(sys, horizon: int = DEFAULT_HORIZON) -> PositivityReport:
     if len(residues):
         r1, p1 = float(residues[0]), float(poles[0])
         if r1 > 0 and p1 > 0 and bool(np.all(
-                p1 - np.abs(poles[1:]) > DOMINANCE_MARGIN * max(1.0, p1))):
+                p1 - np.abs(poles[1:]) > SLACK_TOL * max(1.0, p1))):
             dominance_from = max(1, fir_end + 1)
     scan = _SampleScan(pfs, theta)
     stop = _finite_stop(pfs, need)
@@ -401,7 +390,7 @@ def check_external(sys, horizon: int = DEFAULT_HORIZON) -> PositivityReport:
 
 
 def _check_external_sampled(g: Signal, horizon: int) -> PositivityReport:
-    theta = SAMPLE_TOL * max(1.0, float(np.max(np.abs(g.to_array()))))
+    theta = ZERO_TOL * max(1.0, float(np.max(np.abs(g.to_array()))))
     t0 = _first_nonzero_time(g, theta)
     for t in range(horizon + 1):
         if g.value(t) < -theta:
@@ -448,10 +437,10 @@ def check_hankel_k(sys, k: int,
     if isinstance(form, PartialFractionSystem):
         # check_external's zero level; no sample past the last finite one.
         g = impulse_response(sys, max(1, 2 * k - 2, _finite_stop(form, need)))
-        theta = SAMPLE_TOL * _sample_scale(form)
+        theta = ZERO_TOL * _sample_scale(form)
     else:
         g = impulse_response(sys, need)
-        theta = SAMPLE_TOL * max(1.0, float(np.max(np.abs(g.to_array()))))
+        theta = ZERO_TOL * max(1.0, float(np.max(np.abs(g.to_array()))))
     t0 = _first_nonzero_time(g, theta)
     for offset, test, kind in ((1, is_pd, "definite"),
                                (2, is_psd, "semidefinite")):
@@ -495,7 +484,7 @@ def check_toeplitz_k(sys, k: int,
             return exact
     form = canonical(sys)
     poles = _pole_magnitudes(form)
-    if k >= 2 and (k - 1 > len(poles) or abs(poles[k - 2]) <= SAMPLE_TOL):
+    if k >= 2 and (k - 1 > len(poles) or abs(poles[k - 2]) <= ZERO_TOL):
         return PositivityReport(TOEPLITZ_K, k, UNSUPPORTED, horizon)
 
     details = []
@@ -628,7 +617,7 @@ def necessary_coefficients(sys, k: int,
     m = min(k, len(pfs.terms))
     for i in range(1, m + 1):
         r, p = pfs.terms[i - 1]
-        if p < -SAMPLE_TOL:
+        if p < -ZERO_TOL:
             return CoefficientCheck(False, i, f"pole {p} negative")
         if operator == "hankel":
             if r <= 0:
@@ -684,7 +673,7 @@ def check_relaxation(pfs: PartialFractionSystem, J: int = 6,
         d = tail if j == 0 else forward_difference(tail, j)
         vals = [((-1) ** j) * v for v in d.values]
         scale = max(max(abs(v) for v in vals), 1e-300) if vals else 1.0
-        if any(v < -RELAXATION_TOL * scale for v in vals):
+        if any(v < -SLACK_TOL * scale for v in vals):
             alternating = False
             break
     return RelaxationBundle(coeff, definite, alternating)
@@ -765,7 +754,7 @@ def _spot_check_compounds(pfs: PartialFractionSystem, k: int):
     for j in range(2, min(k, n) + 1):
         for t in (1, 2):
             d = hankel_matrix(g, t, j).det()
-            if d < -SPOT_CHECK_TOL * scale ** j:
+            if d < -SLACK_TOL * scale ** j:
                 raise StructuralError(
                     f"remainder window determinant at t={t}, order {j} "
                     f"is negative: {d}")
@@ -800,7 +789,7 @@ def toeplitz_decompose(sys, k: int,
     p_cut = pfs.terms[m - 1][1]
     rtf = recombine(pfs)
     for z in rtf.zeros:
-        if z.imag == 0.0 and z.real >= p_cut - SAMPLE_TOL * max(1.0, abs(
+        if z.imag == 0.0 and z.real >= p_cut - ZERO_TOL * max(1.0, abs(
                 p_cut)):
             raise StructuralError(
                 f"real zero {z.real} is not below pole {p_cut}")
@@ -810,7 +799,7 @@ def toeplitz_decompose(sys, k: int,
     terms = []
     fir = {1: math.fsum(pfs.residues)}
     for r, p in pfs.terms[1:]:
-        if abs(p) <= SAMPLE_TOL:
+        if abs(p) <= ZERO_TOL:
             # A pole-at-zero term is the pulse r at t=1; filtering leaves
             # the pulse and subtracts p1 r at t=2.
             fir[2] = fir.get(2, 0.0) - p1 * r
@@ -818,7 +807,7 @@ def toeplitz_decompose(sys, k: int,
         coeff = r * (p - p1) / p
         terms.append((coeff, p))
         fir[1] -= coeff
-    if abs(fir.get(1, 0.0)) <= SAMPLE_TOL * _sample_scale(pfs):
+    if abs(fir.get(1, 0.0)) <= ZERO_TOL * _sample_scale(pfs):
         fir[1] = 0.0
     span = max(fir)
     fir_signal = Signal(1, tuple(fir.get(t, 0.0) for t in range(1, span + 1)))
@@ -900,12 +889,12 @@ def _root_witness(rtf: RationalTransferFunction) -> Optional[dict]:
     for p in rtf.poles:
         if p.imag != 0.0:
             return {"kind": "complex-pole", "pole": str(p)}
-        if p.real < -SAMPLE_TOL * scale:
+        if p.real < -ZERO_TOL * scale:
             return {"kind": "negative-pole", "pole": p.real}
     for z in rtf.zeros:
         if z.imag != 0.0:
             return {"kind": "complex-zero", "zero": str(z)}
-        if z.real > SAMPLE_TOL * scale:
+        if z.real > ZERO_TOL * scale:
             return {"kind": "positive-real-zero", "zero": z.real}
     return None
 
@@ -924,7 +913,7 @@ def repeated_pole_check(ss: StateSpace, k: int) -> RepeatedPoleCheck:
     lam.sort(key=dominance_key)
     clusters = []
     for v in lam:
-        if clusters and abs(v - clusters[-1][0]) <= POLE_CLUSTER_TOL * (
+        if clusters and abs(v - clusters[-1][0]) <= ROOT_TOL * (
                 1.0 + abs(v)):
             clusters[-1][1] += 1
         else:
@@ -942,7 +931,7 @@ def repeated_pole_check(ss: StateSpace, k: int) -> RepeatedPoleCheck:
             return RepeatedPoleCheck(False, "fewer distinct poles than k-1",
                                      mults)
         p = clusters[k - 2][0]
-        if abs(p.imag) > REAL_SNAP_TOL * (1.0 + abs(p)) or p.real <= 0:
+        if abs(p.imag) > ROOT_TOL * (1.0 + abs(p)) or p.real <= 0:
             return RepeatedPoleCheck(
                 False, f"pole {p} at rank {k - 1} is not real positive",
                 mults)

@@ -9,10 +9,8 @@ from typing import Sequence
 
 import numpy as np
 
-# Samples with magnitude at or below this count as zero in sign tests.
-ZERO_TOL = 1e-12
-# Relative slack for determinant-like shape inequalities.
-SHAPE_TOL = 1e-9
+from .tolerance import SLACK_TOL, ZERO_TOL
+
 # Columns per base-3 sign word in ``row_variations``: a table of 3^8
 # words.
 SIGN_WORD = 8
@@ -223,14 +221,14 @@ def _shape_check(g: Signal, window, concave: bool) -> bool:
         prod = samples[i] * samples[i + 2]
         lhs = (sq - prod) if concave else (prod - sq)
         scale = max(sq, abs(prod), 1e-300)
-        if lhs < -SHAPE_TOL * scale:
+        if lhs < -SLACK_TOL * scale:
             return False
     return True
 
 
 def is_log_concave(g: Signal, window=None) -> bool:
     """Nonnegative on the window, interval support, and
-    g(t+1)^2 - g(t) g(t+2) >= 0 up to relative slack ``SHAPE_TOL``."""
+    g(t+1)^2 - g(t) g(t+2) >= 0 up to relative slack ``SLACK_TOL``."""
     return _shape_check(g, window, concave=True)
 
 

@@ -4,16 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-# Relative threshold below which a minor counts as zero.
-MINOR_TOL = 1e-9
-PD_TOL = 1e-10
-PSD_TOL = 1e-9
-RANK_TOL = 1e-10
-# Relative asymmetry above which ``is_pd``/``is_psd`` reject a matrix.
-SYMMETRY_TOL = 1e-9
+from .tolerance import RANK_TOL, SLACK_TOL
 
 
-def minor_zero_threshold(sub: np.ndarray, tol: float = MINOR_TOL) -> float:
+def minor_zero_threshold(sub: np.ndarray, tol: float = SLACK_TOL) -> float:
     """Scale below which a determinant of ``sub`` is indistinguishable
     from zero: tol times the product of row sup-norms."""
     sub = np.atleast_2d(sub)
@@ -25,7 +19,7 @@ def minor_zero_threshold(sub: np.ndarray, tol: float = MINOR_TOL) -> float:
 
 def _check_symmetric(X: np.ndarray):
     scale = max(1.0, float(np.max(np.abs(X))) if X.size else 0.0)
-    if np.max(np.abs(X - X.T)) > SYMMETRY_TOL * scale:
+    if np.max(np.abs(X - X.T)) > SLACK_TOL * scale:
         raise ValueError("matrix is not symmetric")
 
 
@@ -38,7 +32,7 @@ def is_pd(X) -> bool:
     for j in range(1, X.shape[0] + 1):
         sub = X[:j, :j]
         d = float(np.linalg.det(sub)) if j > 1 else float(sub[0, 0])
-        if d <= minor_zero_threshold(sub, PD_TOL):
+        if d <= minor_zero_threshold(sub, RANK_TOL):
             return False
     return True
 
@@ -51,7 +45,7 @@ def is_psd(X) -> bool:
     _check_symmetric(X)
     w = np.linalg.eigvalsh((X + X.T) / 2.0)
     scale = max(float(np.max(np.abs(w))), 1e-300)
-    return bool(w[0] >= -PSD_TOL * scale)
+    return bool(w[0] >= -SLACK_TOL * scale)
 
 
 def matrix_rank(X) -> int:

@@ -22,16 +22,16 @@ import numpy as np
 import pytest
 
 from vardim import lti, positivity
-from vardim.compound import (INDEX_TABLES, MERGE_TOL, _merge_heads,
-                             compound_transfer, index_tuples)
+from vardim.compound import (INDEX_TABLES, _merge_heads, compound_transfer,
+                             index_tuples)
 from vardim.errors import UnsupportedRepresentationError, WindowError
-from vardim.lti import (POLE_SEP_TOL, PartialFractionSystem,
-                        RationalTransferFunction, hankel_matrix,
-                        partial_fraction_samples, partial_fractions,
-                        toeplitz_matrix)
+from vardim.lti import (PartialFractionSystem, RationalTransferFunction,
+                        hankel_matrix, partial_fraction_samples,
+                        partial_fractions, toeplitz_matrix)
 from vardim.oracle import DEMO_FUTURE_GROWTH, demo_system, ovd_verify
 from vardim.positivity import check_toeplitz_k
 from vardim.signals import Signal
+from vardim.tolerance import ZERO_TOL
 
 # ---------------------------------------------------------------------------
 # Eager references.
@@ -58,8 +58,8 @@ class EagerPFS:
         rp = rp[rp[:, 0] != 0.0]
         r, p = rp[np.lexsort((-rp[:, 1], -np.abs(rp[:, 1])))].T.copy()
         scale = np.maximum(np.abs(p), 1.0)
-        near = np.abs(np.diff(p)) <= POLE_SEP_TOL * np.maximum(scale[:-1],
-                                                               scale[1:])
+        near = np.abs(np.diff(p)) <= ZERO_TOL * np.maximum(scale[:-1],
+                                                           scale[1:])
         if near.any():
             raise UnsupportedRepresentationError(
                 f"repeated pole {float(p[np.argmax(near)])}; use StateSpace "
@@ -239,7 +239,7 @@ def sequential_heads(pole: np.ndarray) -> list:
     heads = [0]
     for i in range(1, len(pole)):
         a, b = float(pole[i]), float(pole[heads[-1]])
-        if abs(a - b) > MERGE_TOL * max(1.0, abs(a), abs(b)):
+        if abs(a - b) > ZERO_TOL * max(1.0, abs(a), abs(b)):
             heads.append(i)
     return heads
 
@@ -249,13 +249,13 @@ class TestMergeAndHandOver:
         rng = np.random.default_rng(10)
         for scale in (1.0, 0.3, 40.0):
             for _ in range(200):
-                # Clusters of products spaced a fraction of MERGE_TOL apart,
+                # Clusters of products spaced a fraction of ZERO_TOL apart,
                 # some chains spanning several tolerances.
                 centres = rng.uniform(-1.0, 1.0, rng.integers(1, 6)) * scale
                 steps = rng.uniform(0.0, 0.9, (len(centres),
                                                rng.integers(1, 6)))
                 pole = np.sort(np.concatenate([
-                    c + np.cumsum(s) * MERGE_TOL * max(1.0, abs(c))
+                    c + np.cumsum(s) * ZERO_TOL * max(1.0, abs(c))
                     for c, s in zip(centres, steps)]))
                 heads = _merge_heads(pole)
                 want = sequential_heads(pole)

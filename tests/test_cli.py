@@ -22,6 +22,41 @@ def demo_file(tmp_path):
     path.write_text(DEMO_TEXT)
     return str(path)
 
+# Valid systems that the compound report cannot take: a partial-fraction
+# file with a FIR tail (order 4 with the tail) and the golden ``complex-ss``.
+VALID_SYSTEMS = {
+    "fir-tail": "poles = [0.9, 0.5]\nresidues = [1.0, 0.5]\n"
+                "fir = [0.3, 0.1]\n",
+    "complex-ss": "A = [[0.9, 0, 0], [0, 0.3, -0.4], [0, 0.4, 0.3]]\n"
+                  "b = [1.0, 0.5, 0.5]\n"
+                  "c = [1, 1, 1]\n",
+}
+VALID_SYSTEM_COMMANDS = [
+    *(["check", "--operator", op, "--k", "2"] for op in (
+        "hankel", "toeplitz", "external", "hankel-total", "toeplitz-total")),
+    *(["compound", "--j", str(j)] for j in (1, 2, 3)),
+    *(["decompose", "--operator", op, "--k", "1"]
+      for op in ("hankel", "toeplitz")),
+    ["oracle", "--operator", "hankel", "--input-length", "3"],
+    ["impulse"],
+]
+
+
+@pytest.mark.parametrize("argv", VALID_SYSTEM_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("name", sorted(VALID_SYSTEMS))
+def test_valid_system_gets_no_usage_error(name, argv, tmp_path, capsys):
+    """A valid system gets a verdict, a result or "unsupported": never a
+    usage error, and never a compound report of zero samples that are not
+    zero."""
+    path = tmp_path / "valid.sys"
+    path.write_text(VALID_SYSTEMS[name])
+    out = ["--out", str(tmp_path / "dec.")] if argv[0] == "decompose" \
+        else []
+    code = main(argv + ["--system", str(path)] + out)
+    assert code in (0, 3, 4, 5)
+    assert "Traceback" not in capsys.readouterr().err
+    if name == "fir-tail" and argv[0] == "compound":
+        assert code == 5
 
 class TestSysfile:
     def test_parse_partial_fractions(self):

@@ -5,7 +5,7 @@ import pytest
 
 from reference import compound_realization, to_state_space
 from vardim.compound import compound_impulse, compound_transfer, reversal_sign
-from vardim.errors import WindowError
+from vardim.errors import UnsupportedRepresentationError, WindowError
 from vardim.lti import (PartialFractionSystem, StateSpace, hankel_matrix,
                         impulse_response, toeplitz_matrix)
 from vardim.signals import Signal
@@ -127,6 +127,14 @@ class TestCompoundTransfer:
         assert comp.residues == pytest.approx((0.072, -0.0576, -0.008))
         g1 = sum(comp.residues)
         assert g1 == pytest.approx(0.0064, abs=1e-12)
+
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_fir_tail_unsupported(self, j):
+        # A FIR tail is valid input that the residue formula cannot take.
+        pfs = PartialFractionSystem(((1.0, 0.9), (0.5, 0.5)),
+                                    fir=Signal(0, (0.3, 0.1)))
+        with pytest.raises(UnsupportedRepresentationError):
+            compound_transfer(pfs, j)
 
     def test_top_order_single_term(self):
         comp = compound_transfer(DEMO, 3)

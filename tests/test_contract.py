@@ -1,4 +1,4 @@
-"""The numerical contract: every tolerance is a named module constant.
+"""The numerical contract: every tolerance is a constant of ``vardim.tolerance``.
 
 Verdicts depend only on the system, k and the horizon, so no public
 function or method takes a tolerance.  The only exceptions count sign
@@ -14,32 +14,19 @@ import types
 import pytest
 
 import vardim
-from vardim import compound, lti, positivity, signals, totpos
+from vardim import tolerance
 
 # Public callables that take a zero level as data.
 ZERO_LEVEL_TAKERS = {"variation", "first_nonzero_sign", "row_variations",
                      "Signal.trimmed"}
 
-# Every named tolerance and what it must stay.
+# Every named tolerance and what it must stay.  ``RANK_TOL`` stays apart
+# from ``SLACK_TOL``: with ``is_pd`` at 1e-9, negated banks change witness.
 TOLERANCES = {
-    (signals, "ZERO_TOL"): 1e-12,
-    (signals, "SHAPE_TOL"): 1e-9,
-    (lti, "REAL_SNAP_TOL"): 1e-8,
-    (lti, "POLE_SEP_TOL"): 1e-12,
-    (lti, "POLE_ZERO_TOL"): 1e-9,
-    (lti, "MODE_SEP_TOL"): 1e-9,
-    (lti, "MODE_DROP_TOL"): 1e-12,
-    (compound, "MERGE_TOL"): 1e-12,
-    (totpos, "MINOR_TOL"): 1e-9,
-    (totpos, "PD_TOL"): 1e-10,
-    (totpos, "PSD_TOL"): 1e-9,
-    (totpos, "RANK_TOL"): 1e-10,
-    (totpos, "SYMMETRY_TOL"): 1e-9,
-    (positivity, "SAMPLE_TOL"): 1e-12,
-    (positivity, "DOMINANCE_MARGIN"): 1e-9,
-    (positivity, "RELAXATION_TOL"): 1e-9,
-    (positivity, "POLE_CLUSTER_TOL"): 1e-8,
-    (positivity, "SPOT_CHECK_TOL"): 1e-9,
+    (tolerance, "ZERO_TOL"): 1e-12,
+    (tolerance, "RANK_TOL"): 1e-10,
+    (tolerance, "SLACK_TOL"): 1e-9,
+    (tolerance, "ROOT_TOL"): 1e-8,
 }
 
 

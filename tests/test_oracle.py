@@ -80,8 +80,7 @@ def scalar_ovd_verify(sys, kind, k, input_length, output_length, **kw):
     """Reference: ``ovd_verify`` through ``scalar_ovd_matrix``."""
     g = _impulse_for(sys, kind, input_length, output_length)
     build = hankel_truncation if kind == "hankel" else toeplitz_truncation
-    return scalar_ovd_matrix(build(g, input_length, output_length).matrix, k,
-                             **kw)
+    return scalar_ovd_matrix(build(g, input_length, output_length), k, **kw)
 
 
 def assert_same_report(got, want):
@@ -148,7 +147,7 @@ class TestApplyHankel:
         trunc = hankel_truncation(g, 4, 6)
         for t in range(6):
             for tau in range(1, 5):
-                assert trunc.matrix[t, tau - 1] == g.value(t + tau)
+                assert trunc[t, tau - 1] == g.value(t + tau)
 
 
 def loop_hankel(g, input_length, output_length):
@@ -190,8 +189,9 @@ class TestSlicedTruncations:
         g = TRUNCATION_SIGNALS[signal]
         for build, loop in ((hankel_truncation, loop_hankel),
                             (toeplitz_truncation, loop_toeplitz)):
-            got = build(g, input_length, output_length).matrix
+            got = build(g, input_length, output_length)
             want = loop(g, input_length, output_length)
+            assert not got.flags.writeable
             assert got.shape == want.shape == (output_length, input_length)
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes(), build.__name__
@@ -219,8 +219,8 @@ class TestApplyToeplitz:
     def test_lower_triangular_structure(self):
         g = impulse_response(DEMO, 12)
         trunc = toeplitz_truncation(g, 4, 6)
-        assert trunc.matrix[0, 1] == 0.0
-        assert trunc.matrix[3, 1] == g.value(2)
+        assert trunc[0, 1] == 0.0
+        assert trunc[3, 1] == g.value(2)
 
 
 class TestOvdVerify:

@@ -15,8 +15,8 @@ from vardim.errors import StructuralError
 from vardim.lti import (DEFAULT_HORIZON, PartialFractionSystem,
                         RationalTransferFunction, StateSpace, canonical,
                         dominance_key, impulse_response, recombine)
-from vardim.positivity import (CERTIFIED, HOLDS, REFUTED, SAMPLE_TOL,
-                               TOEPLITZ_K, UNSUPPORTED, PositivityReport,
+from vardim.positivity import (CERTIFIED, HOLDS, REFUTED, TOEPLITZ_K,
+                               UNSUPPORTED, PositivityReport,
                                _compound_external, _initial_window_witness,
                                _pole_magnitudes, check_external,
                                check_hankel_k, check_hankel_total,
@@ -26,6 +26,7 @@ from vardim.positivity import (CERTIFIED, HOLDS, REFUTED, SAMPLE_TOL,
                                render_report, repeated_pole_check,
                                toeplitz_decompose, WITNESS_SEARCH_CAP)
 from vardim.signals import Signal, forward_difference
+from vardim.tolerance import ZERO_TOL
 
 DEMO = PartialFractionSystem(((0.9, 0.9), (0.5, 0.5), (-0.1, 0.1)))
 ALTERNATING = PartialFractionSystem(((2.25, 0.9), (-1.25, 0.5)))
@@ -278,7 +279,7 @@ def ladder_reference(sys, k, horizon=DEFAULT_HORIZON):
     refuted check."""
     form = canonical(sys)
     poles = sorted(_pole_magnitudes(form), key=dominance_key)
-    if k >= 2 and (k - 1 > len(poles) or abs(poles[k - 2]) <= SAMPLE_TOL):
+    if k >= 2 and (k - 1 > len(poles) or abs(poles[k - 2]) <= ZERO_TOL):
         return PositivityReport(TOEPLITZ_K, k, UNSUPPORTED, horizon)
     first = _compound_external(form, 1, horizon, 1)
     if first.t0 is None:

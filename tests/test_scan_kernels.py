@@ -19,15 +19,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import vardim.positivity
-from vardim.compound import MERGE_TOL, compound_transfer
+from vardim.compound import compound_transfer
 from vardim.errors import UnsupportedRepresentationError
-from vardim.lti import (POLE_SEP_TOL, PartialFractionSystem, StateSpace,
-                        dominance_key, partial_fraction_samples)
-from vardim.positivity import (CERTIFIED, DOMINANCE_MARGIN, EXTERNAL, HOLDS,
-                               REFUTED, SAMPLE_TOL, SCAN_BLOCK_BYTES,
-                               WITNESS_SEARCH_CAP, PositivityReport, _fmt,
-                               _sample_scale, _SampleScan, check_external,
-                               check_hankel_k)
+from vardim.lti import (PartialFractionSystem, StateSpace, dominance_key,
+                        partial_fraction_samples)
+from vardim.positivity import (CERTIFIED, EXTERNAL, HOLDS, REFUTED,
+                               SCAN_BLOCK_BYTES, WITNESS_SEARCH_CAP,
+                               PositivityReport, _fmt, _sample_scale,
+                               _SampleScan, check_external, check_hankel_k)
+from vardim.tolerance import SLACK_TOL, ZERO_TOL
 from vardim.signals import Signal
 
 # ---------------------------------------------------------------------------
@@ -46,7 +46,7 @@ def ref_terms(terms) -> tuple:
             cleaned.append((r, p))
     cleaned.sort(key=lambda rp: dominance_key(rp[1]))
     for (_, pa), (_, pb) in zip(cleaned, cleaned[1:]):
-        if abs(pa - pb) <= POLE_SEP_TOL * max(1.0, abs(pa), abs(pb)):
+        if abs(pa - pb) <= ZERO_TOL * max(1.0, abs(pa), abs(pb)):
             raise UnsupportedRepresentationError(
                 f"repeated pole {pa}; use StateSpace for repeated poles")
     return tuple(cleaned)
@@ -79,7 +79,7 @@ def ref_merged(pfs: PartialFractionSystem, j: int) -> list:
     raw.sort(key=lambda pr: pr[0])
     merged = []
     for pole, res in raw:
-        if merged and abs(pole - merged[-1][0]) <= MERGE_TOL * max(
+        if merged and abs(pole - merged[-1][0]) <= ZERO_TOL * max(
                 1.0, abs(pole), abs(merged[-1][0])):
             merged[-1][1].append(res)
         else:
@@ -126,7 +126,7 @@ def ref_negative_sample(pfs, start, tol):
     return None
 
 
-def ref_check_external(pfs, horizon=64, tol=SAMPLE_TOL) -> PositivityReport:
+def ref_check_external(pfs, horizon=64, tol=ZERO_TOL) -> PositivityReport:
     """``check_external`` on a partial-fraction system, scalar scans: the
     tail-dominance certificate first, then the witness search."""
     theta = tol * ref_scale(pfs) if not pfs.is_zero() else tol
@@ -150,7 +150,7 @@ def ref_check_external(pfs, horizon=64, tol=SAMPLE_TOL) -> PositivityReport:
                         f"{pfs.fir.support_end}")
     r1, p1 = pfs.terms[0]
     rest = pfs.terms[1:]
-    strict = all(p1 - abs(p) > DOMINANCE_MARGIN * max(1.0, p1)
+    strict = all(p1 - abs(p) > SLACK_TOL * max(1.0, p1)
                  for _, p in rest)
     if strict and p1 > 0 and r1 > 0:
         fir = pfs.fir.trimmed(0.0)
@@ -315,7 +315,7 @@ class TestCompoundMerges:
 
     def test_chain_wider_than_merge_tol_is_decided_step_by_step(self):
         # The pairs (0.8, 0.5), (0.9, d) and (0.6, f) have products about
-        # 0.7e-12 apart: each step is within MERGE_TOL, the run spans more.
+        # 0.7e-12 apart: each step is within ZERO_TOL, the run spans more.
         d = (0.4 + 0.7e-12) / 0.9
         f = (0.4 + 1.4e-12) / 0.6
         pfs = PartialFractionSystem(tuple(zip(
@@ -324,8 +324,8 @@ class TestCompoundMerges:
                 if abs(pole - 0.4) < 1e-10]
         assert [len(parts) for _, parts in near] == [2, 1]
         chain = sorted((0.8 * 0.5, 0.9 * d, 0.6 * f))
-        assert all(b - a <= MERGE_TOL for a, b in zip(chain, chain[1:]))
-        assert chain[-1] - chain[0] > MERGE_TOL
+        assert all(b - a <= ZERO_TOL for a, b in zip(chain, chain[1:]))
+        assert chain[-1] - chain[0] > ZERO_TOL
         assert_compounds_match_scalar(pfs)
 
     def test_mixed_signs_and_poles_above_one(self):
@@ -386,7 +386,7 @@ def build(terms, fir: dict) -> PartialFractionSystem:
 def systems_with_tolerance(draw):
     """A partial-fraction system and a tolerance; optionally a residue
     placed at +-theta, or g(1) placed at +-theta through the FIR tail."""
-    tol = draw(st.sampled_from((SAMPLE_TOL, 1e-9, 1e-15)))
+    tol = draw(st.sampled_from((ZERO_TOL, 1e-9, 1e-15)))
     poles = draw(poles_st)
     terms = [(draw(residue_st), p) for p in poles]
     start = draw(st.integers(0, 3))
@@ -418,7 +418,7 @@ class TestRandomSystems:
         size = SCAN_BLOCK_BYTES if rows is None else 8 * rows * max(
             len(pfs.terms), 1)
         with mock.patch.object(vardim.positivity, "SCAN_BLOCK_BYTES", size), \
-                mock.patch.object(vardim.positivity, "SAMPLE_TOL", tol):
+                mock.patch.object(vardim.positivity, "ZERO_TOL", tol):
             rep = check_external(pfs, horizon)
             want = ref_check_external(pfs, horizon, tol)
         assert repr(rep) == repr(want)
@@ -447,7 +447,7 @@ class TestGuardBand:
                                  (-1.0, 0.3)))
 
     def test_case_straddles_the_threshold(self):
-        theta = SAMPLE_TOL * _sample_scale(self.PFS)
+        theta = ZERO_TOL * _sample_scale(self.PFS)
         scan = _SampleScan(self.PFS, theta)
         ts, approx, bound, _, _ = next(scan._blocks(1))
         assert ts.tolist() == [0, 1]
@@ -478,7 +478,7 @@ class TestWideGuardBand:
     PFS = wide_straddle()
 
     def test_case_straddles_the_threshold_inside_the_band(self):
-        theta = SAMPLE_TOL * _sample_scale(self.PFS)
+        theta = ZERO_TOL * _sample_scale(self.PFS)
         scan = _SampleScan(self.PFS, theta)
         assert len(self.PFS.arrays[0]) == 400
         assert (scan.s, scan.c) == (20, 20)
