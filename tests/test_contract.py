@@ -1,4 +1,4 @@
-"""The numerical contract: every tolerance is a constant of ``vardim.tolerance``.
+"""The numerical contract: every tolerance is a ``vardim.tolerance`` constant.
 
 Verdicts depend only on the system, k and the horizon, so no public
 function or method takes a tolerance.  The only exceptions count sign
