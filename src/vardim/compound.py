@@ -17,7 +17,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import UnsupportedRepresentationError
+from .errors import BudgetExceededError, UnsupportedRepresentationError
 from .lti import PartialFractionSystem, _require_window
 from .signals import Signal
 from .tolerance import ZERO_TOL
@@ -40,7 +40,10 @@ def reversal_sign(j: int) -> int:
 
 
 def compound_impulse(g: Signal, j: int, horizon: int) -> Signal:
-    """Sequence of order-j Hankel-window determinants for t = 1..horizon."""
+    """Sequence of order-j Hankel-window determinants for t = 1..horizon.
+
+    Raises BudgetExceededError, naming the first t, when a determinant of
+    finite samples is not a finite double."""
     if j < 1:
         raise ValueError("order j must be >= 1")
     if horizon < 1:
@@ -50,7 +53,14 @@ def compound_impulse(g: Signal, j: int, horizon: int) -> Signal:
     x = g.to_array()[1 - g.support_start:end + 1 - g.support_start]
     # Window t holds g(t + a + b - 2) at (a, b): rows are shifted copies.
     windows = sliding_window_view(sliding_window_view(x, j), j, axis=0)
-    return Signal(1, tuple(np.linalg.det(windows).tolist()))
+    with np.errstate(all="ignore"):
+        d = np.linalg.det(windows)
+    bad = np.flatnonzero(~np.isfinite(d))
+    if len(bad):
+        raise BudgetExceededError(
+            f"order-{j} compound impulse response leaves the doubles at "
+            f"t={int(bad[0]) + 1}; shorten the horizon")
+    return Signal(1, tuple(d.tolist()))
 
 
 @functools.lru_cache(maxsize=INDEX_TABLES)

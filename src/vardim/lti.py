@@ -312,8 +312,9 @@ def partial_fraction_samples(terms, fir: Signal, times) -> list:
 def impulse_response(sys: SystemLike, horizon: int) -> Signal:
     """Samples g(0..horizon); g(0) = 0 for strictly proper dynamics.
 
-    Raises BudgetExceededError, naming the first t, when a sample up to
-    the horizon is not a finite double (unstable dynamics overflow)."""
+    Raises BudgetExceededError (``overflow_error``), naming the first t,
+    when a sample up to the horizon is not a finite double (unstable
+    dynamics overflow)."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if isinstance(sys, PartialFractionSystem):
@@ -331,10 +332,15 @@ def impulse_response(sys: SystemLike, horizon: int) -> Signal:
     elif isinstance(sys, StateSpace):
         g = [0.0]
         x = sys.b.copy()
+        # Bound ``dot`` methods skip matmul's per-call dispatch and give
+        # the samples of ``c @ x`` and ``A @ x``; adding 0.0 turns the -0.0
+        # that ``dot`` returns for a lone zero product (n = 1) into matmul's
+        # +0.0, and changes no other value.
+        cdot, Adot = sys.c.dot, sys.A.dot
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(horizon):
-                g.append(float(sys.c @ x))
-                x = sys.A @ x
+                g.append(float(cdot(x)) + 0.0)
+                x = Adot(x)
     elif isinstance(sys, RationalTransferFunction):
         den = sys.den
         n = len(den) - 1
@@ -358,9 +364,16 @@ def impulse_response(sys: SystemLike, horizon: int) -> Signal:
         return Signal(0, g)
     except ValueError:  # a Signal holds finite samples only
         t = next(t for t, v in enumerate(g) if not math.isfinite(v))
-        raise BudgetExceededError(
-            f"impulse response leaves the doubles at t={t}; shorten the "
-            f"horizon") from None
+        raise overflow_error(t) from None
+
+
+def overflow_error(t: int) -> BudgetExceededError:
+    """The error ``impulse_response`` raises when g(t) is its first sample
+    that is not a finite double; that t is its ``time``."""
+    exc = BudgetExceededError(
+        f"impulse response leaves the doubles at t={t}; shorten the horizon")
+    exc.time = t
+    return exc
 
 
 def partial_fractions(rtf: RationalTransferFunction) -> PartialFractionSystem:

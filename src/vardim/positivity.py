@@ -19,12 +19,14 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .compound import compound_impulse, compound_transfer, reversal_sign
-from .errors import StructuralError, UnsupportedRepresentationError
+from .errors import (BudgetExceededError, StructuralError,
+                     UnsupportedRepresentationError)
 from .exact import serial_lag
 from .lti import (DEFAULT_HORIZON, PartialFractionSystem,
                   RationalTransferFunction, StateSpace, canonical,
                   dominance_key, hankel_matrix, impulse_response,
-                  partial_fraction_samples, recombine, toeplitz_matrix)
+                  overflow_error, partial_fraction_samples, recombine,
+                  toeplitz_matrix)
 from .signals import Signal, forward_difference
 from .tolerance import ROOT_TOL, SLACK_TOL, ZERO_TOL
 from .totpos import is_pd, is_psd, minor_zero_threshold
@@ -103,9 +105,32 @@ def render_report(report: PositivityReport, indent: str = "") -> str:
     return "\n".join(lines)
 
 
-def _first_nonzero_time(g: Signal, tol: float) -> Optional[int]:
-    return next((t for t in range(g.support_start, g.support_end + 1)
+def _first_nonzero_time(g: Signal, tol: float,
+                        end: int) -> Optional[int]:
+    return next((t for t in range(g.support_start,
+                                  min(g.support_end, end) + 1)
                  if abs(g.value(t)) > tol), None)
+
+
+def _finite_response(sys, stop: int) -> Signal:
+    """``impulse_response(sys, stop)``, or its samples before the first one
+    that leaves the doubles; layers that read past them raise
+    (``_reaching``)."""
+    try:
+        return impulse_response(sys, stop)
+    except BudgetExceededError as exc:
+        if exc.time < 2:  # no sample past g(0) is finite
+            raise
+        return impulse_response(sys, exc.time - 1)
+
+
+def _reaching(g: Signal, stop: int) -> Signal:
+    """Samples g from ``_finite_response`` that a layer reads up to t =
+    ``stop``; BudgetExceededError as ``impulse_response`` raises it when g
+    ends before ``stop``, at a sample that left the doubles."""
+    if g.support_end < stop:
+        raise overflow_error(g.support_end + 1)
+    return g
 
 
 def _sample_scale(pfs: PartialFractionSystem) -> float:
@@ -389,9 +414,18 @@ def check_external(sys, horizon: int = DEFAULT_HORIZON) -> PositivityReport:
                             witness=witness)
 
 
+def _zero_level(g: Signal, end: int) -> float:
+    """Zero level of samples without a partial-fraction form: ``ZERO_TOL``
+    times the largest of 1 and |g(t)| up to t = end."""
+    x = g.to_array()[:end + 1 - g.support_start]
+    return ZERO_TOL * max(1.0, float(np.max(np.abs(x))))
+
+
 def _check_external_sampled(g: Signal, horizon: int) -> PositivityReport:
-    theta = ZERO_TOL * max(1.0, float(np.max(np.abs(g.to_array()))))
-    t0 = _first_nonzero_time(g, theta)
+    """Sign test of the samples of g up to the horizon; later ones are not
+    read."""
+    theta = _zero_level(g, horizon)
+    t0 = _first_nonzero_time(g, theta, horizon)
     for t in range(horizon + 1):
         if g.value(t) < -theta:
             return PositivityReport(
@@ -401,16 +435,28 @@ def _check_external_sampled(g: Signal, horizon: int) -> PositivityReport:
     return PositivityReport(EXTERNAL, 1, HOLDS, horizon, t0=t0)
 
 
-def _compound(form, j: int, horizon: int):
+def _compound_reach(form, j: int, horizon: int) -> int:
+    """Last sample of a canonical form that its order-j compound reads: 0
+    for a partial-fraction form read as residues and poles (at j = 1, or
+    with no FIR tail), else horizon + 2j - 2."""
+    if isinstance(form, PartialFractionSystem) and (j == 1
+                                                    or not len(form.fir)):
+        return 0
+    return horizon + 2 * j - 2
+
+
+def _compound(form, j: int, horizon: int, g: Optional[Signal]):
     """Order-j compound of a canonical form: the form itself at j = 1, the
-    residue formula for a pure pole/residue form, otherwise the samples
-    g_[j](1..horizon), each the determinant of an order-j Hankel window."""
-    if j == 1:
-        return form
-    if isinstance(form, PartialFractionSystem) and not len(form.fir):
-        return compound_transfer(form, j)
-    return compound_impulse(impulse_response(form, horizon + 2 * j - 2), j,
-                            horizon)
+    residue formula for a pure pole/residue form, both in partial
+    fractions; otherwise the samples g_[j](1..horizon), each the
+    determinant of an order-j Hankel window of the samples g of the form
+    (g itself at j = 1), which must come from ``_finite_response`` up to
+    ``_compound_reach`` at least."""
+    reach = _compound_reach(form, j, horizon)
+    if not reach:
+        return form if j == 1 else compound_transfer(form, j)
+    g = _reaching(g, reach)
+    return g if j == 1 else compound_impulse(g, j, horizon)
 
 
 def check_hankel_k(sys, k: int,
@@ -433,15 +479,26 @@ def check_hankel_k(sys, k: int,
         if k > form.order or total.verdict == CERTIFIED:
             return replace(total, property_name=HANKEL_K, k=k)
 
+    # One sampling of sys serves the zero level, t0, the windows (which
+    # read g(1..2k-2)) and, when form is sys, the compound.
     need = max(horizon, 2 * k + 2)
-    if isinstance(form, PartialFractionSystem):
-        # check_external's zero level; no sample past the last finite one.
-        g = impulse_response(sys, max(1, 2 * k - 2, _finite_stop(form, need)))
+    reach = _compound_reach(form, k, horizon)
+    pfs = isinstance(form, PartialFractionSystem)
+    stop = max(1, 2 * k - 2) if pfs else need
+    g = _reaching(_finite_response(
+        sys, max(stop, reach) if form is sys else stop), stop)
+    if pfs:
+        # check_external's zero level.  t0 is looked for up to the last
+        # finite sample, but past the windows only when none clears it.
         theta = ZERO_TOL * _sample_scale(form)
+        t0_end = max(stop, _finite_stop(form, need))
     else:
-        g = impulse_response(sys, need)
-        theta = ZERO_TOL * max(1.0, float(np.max(np.abs(g.to_array()))))
-    t0 = _first_nonzero_time(g, theta)
+        theta = _zero_level(g, need)
+        t0_end = need
+    t0 = _first_nonzero_time(g, theta, t0_end)
+    if t0 is None and g.support_end < t0_end:
+        g = _reaching(_finite_response(sys, t0_end), t0_end)
+        t0 = _first_nonzero_time(g, theta, t0_end)
     for offset, test, kind in ((1, is_pd, "definite"),
                                (2, is_psd, "semidefinite")):
         if k >= 2 and not test(hankel_matrix(g, offset, k - 1).entries):
@@ -450,7 +507,9 @@ def check_hankel_k(sys, k: int,
                 witness={"kind": f"window-not-positive-{kind}",
                          "offset": offset, "order": k - 1})
 
-    sub = _compound_external(form, k, horizon, 1)
+    if form is not sys:
+        g = _finite_response(form, reach) if reach else None
+    sub = _compound_external(form, k, horizon, 1, g)
     witness = {**sub.witness, "compound-order": k} if sub.witness else None
     certificate = None
     if sub.verdict == CERTIFIED:
@@ -487,9 +546,14 @@ def check_toeplitz_k(sys, k: int,
     if k >= 2 and (k - 1 > len(poles) or abs(poles[k - 2]) <= ZERO_TOL):
         return PositivityReport(TOEPLITZ_K, k, UNSUPPORTED, horizon)
 
+    # One sampling of form serves every compound that reads samples and
+    # the initial windows (g(0..2k-4)); with none, the windows sample it
+    # once the ladder has passed.
+    reach = _compound_reach(form, min(k, form.order), horizon)
+    g = _finite_response(form, max(reach, 2 * k - 4)) if reach else None
     details = []
     for j in range(1, k + 1):
-        sub = _compound_external(form, j, horizon, reversal_sign(j))
+        sub = _compound_external(form, j, horizon, reversal_sign(j), g)
         if j == 1 and sub.t0 is None:
             # No sample rises above the zero level.  Only a certified
             # order-1 check has shown the response to be zero.
@@ -505,9 +569,9 @@ def check_toeplitz_k(sys, k: int,
                 details=tuple(details))
 
     t0 = details[0].t0
-    # The windows below read the samples up to t = 2k - 4 only.
-    witness = _initial_window_witness(
-        impulse_response(form, max(1, 2 * k - 4)), k, t0)
+    if g is None:
+        g = _finite_response(form, max(1, 2 * k - 4))
+    witness = _initial_window_witness(_reaching(g, 2 * k - 4), k, t0)
     certificate = None
     if witness is not None:
         verdict = REFUTED
@@ -580,15 +644,16 @@ def _pole_magnitudes(form) -> tuple:
     return tuple(sorted((complex(v) for v in lam), key=dominance_key))
 
 
-def _compound_external(form, j: int, horizon: int,
-                       sign: int) -> PositivityReport:
+def _compound_external(form, j: int, horizon: int, sign: int,
+                       g: Optional[Signal]) -> PositivityReport:
     """External positivity of ``sign`` times the order-j compound of a
-    canonical form; above the form's order the compound is zero."""
+    canonical form with samples g (``_compound``); above the form's order
+    the compound is zero."""
     if j > form.order:
         return PositivityReport(
             EXTERNAL, 1, CERTIFIED, horizon, t0=None,
             certificate=f"compound order {j} above system order: zero")
-    comp = _compound(form, j, horizon)
+    comp = _compound(form, j, horizon, g)
     if sign != 1:
         comp = comp.scaled(float(sign))
     if isinstance(comp, Signal):

@@ -28,8 +28,8 @@ class Signal:
     values: tuple = ()
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        if any(not math.isfinite(v) for v in vals):
+        vals = tuple(map(float, self.values))
+        if not all(map(math.isfinite, vals)):
             raise ValueError("signal samples must be finite")
         object.__setattr__(self, "values", vals)
 

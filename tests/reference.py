@@ -240,6 +240,19 @@ def compound_realization(ss: StateSpace, j: int) -> StateSpace:
     return StateSpace(A, b, c)
 
 
+def state_space_samples(ss: StateSpace, horizon: int) -> list:
+    """g(0..horizon) of a state space by the recurrence y = c @ x,
+    x <- A @ x from x = b, with g(0) = 0; samples that leave the doubles
+    are kept as they come (inf or nan)."""
+    g = [0.0]
+    x = ss.b.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(horizon):
+            g.append(float(ss.c @ x))
+            x = ss.A @ x
+    return g
+
+
 # Every name above that the package once defined, and the wrappers it
 # deleted; no ``vardim`` module binds any of them.
 MOVED = ("MINOR_SCAN_CAP", "MinorReport", "minor", "compound_matrix",

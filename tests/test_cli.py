@@ -23,13 +23,19 @@ def demo_file(tmp_path):
     return str(path)
 
 # Valid systems that the compound report cannot take: a partial-fraction
-# file with a FIR tail (order 4 with the tail) and the golden ``complex-ss``.
+# file with a FIR tail (order 4 with the tail), the golden ``complex-ss``,
+# and a state space with a pole at 5e4 whose samples stay finite up to the
+# compound's reach but whose order-2 window determinants leave the doubles.
 VALID_SYSTEMS = {
     "fir-tail": "poles = [0.9, 0.5]\nresidues = [1.0, 0.5]\n"
                 "fir = [0.3, 0.1]\n",
     "complex-ss": "A = [[0.9, 0, 0], [0, 0.3, -0.4], [0, 0.4, 0.3]]\n"
                   "b = [1.0, 0.5, 0.5]\n"
                   "c = [1, 1, 1]\n",
+    "overflow-compound": "A = [[50000.0, 0, 0], [0, 0.3824, -0.3221], "
+                         "[0, 0.3221, 0.3824]]\n"
+                         "b = [1.0, 1.0, 0.5]\n"
+                         "c = [1, 1, 1]\n",
 }
 VALID_SYSTEM_COMMANDS = [
     *(["check", "--operator", op, "--k", "2"] for op in (
@@ -57,6 +63,10 @@ def test_valid_system_gets_no_usage_error(name, argv, tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
     if name == "fir-tail" and argv[0] == "compound":
         assert code == 5
+    if name == "overflow-compound" and argv[:3] in (
+            ["check", "--operator", "hankel"],
+            ["check", "--operator", "toeplitz"]):
+        assert code == 5  # BudgetExceededError, not a usage error
 
 class TestSysfile:
     def test_parse_partial_fractions(self):

@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from reference import compound_realization, to_state_space
 from vardim.compound import compound_impulse, compound_transfer, reversal_sign
-from vardim.errors import UnsupportedRepresentationError, WindowError
+from vardim.errors import (BudgetExceededError,
+                           UnsupportedRepresentationError, WindowError)
 from vardim.lti import (PartialFractionSystem, StateSpace, hankel_matrix,
                         impulse_response, toeplitz_matrix)
 from vardim.signals import Signal
@@ -56,6 +58,19 @@ class TestCompoundImpulse:
             compound_impulse(g, 2, 5)  # needs g(7)
         with pytest.raises(WindowError):
             compound_impulse(Signal(2, g.values), 2, 1)  # needs g(1)
+
+    def test_overflowing_determinant_exceeds_budget(self):
+        # Every sample up to t = 66 is finite (the largest is about 5e4^65),
+        # but the products in the order-2 windows leave the doubles near
+        # t = 33; numpy warns of nothing, and no ValueError escapes.
+        ss = StateSpace([[5e4, 0, 0], [0, 0.3824, -0.3221],
+                         [0, 0.3221, 0.3824]], [1.0, 1.0, 0.5], [1, 1, 1])
+        g = impulse_response(ss, 66)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BudgetExceededError, match="at t=35;"):
+                compound_impulse(g, 2, 64)
+            assert compound_impulse(g, 2, 34).support_end == 34
 
     def test_batched_matches_window_loop(self):
         # Reference: one ``hankel_matrix`` determinant per window.

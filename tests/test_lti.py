@@ -4,9 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reference import (extended_controllability, extended_observability,
-                       to_state_space)
+                       state_space_samples, to_state_space)
 from vardim import lti
 from vardim.errors import (BudgetExceededError, DegenerateSystemError,
                            UnsupportedRepresentationError, WindowError)
@@ -120,6 +122,30 @@ class TestNonFiniteSamples:
             with pytest.raises(BudgetExceededError, match=f"t={t};"):
                 impulse_response(system, 64)
         assert len(impulse_response(system, t - 1)) == t
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 16).flatmap(lambda n: st.tuples(
+        st.lists(st.floats(-1.0, 1.0), min_size=n * n, max_size=n * n),
+        st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n),
+        st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n),
+        st.sampled_from((0.3, 1.0, 3.0, 1e4, 1e8)),
+        st.integers(1, 80))))
+    def test_state_space_matches_matmul_recurrence(self, case):
+        # Bit for bit, zero signs included, and the same first bad t.
+        a, b, c, scale, horizon = case
+        n = len(b)
+        ss = StateSpace(np.reshape(a, (n, n)) * scale, b, c)
+        want = state_space_samples(ss, horizon)
+        bad = next((t for t, v in enumerate(want) if not math.isfinite(v)),
+                   None)
+        if bad is None:
+            got = impulse_response(ss, horizon).values
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+        else:
+            with pytest.raises(BudgetExceededError,
+                               match=f"at t={bad};") as info:
+                impulse_response(ss, horizon)
+            assert info.value.time == bad
 
 
 class TestPartialFractions:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import vardim.positivity
 from reference import DELETED, MOVED
 from vardim.compound import compound_impulse, compound_transfer, reversal_sign
-from vardim.errors import StructuralError
+from vardim.errors import BudgetExceededError, StructuralError
 from vardim.lti import (DEFAULT_HORIZON, PartialFractionSystem,
                         RationalTransferFunction, StateSpace, canonical,
                         dominance_key, impulse_response, recombine)
@@ -281,14 +281,16 @@ def ladder_reference(sys, k, horizon=DEFAULT_HORIZON):
     poles = sorted(_pole_magnitudes(form), key=dominance_key)
     if k >= 2 and (k - 1 > len(poles) or abs(poles[k - 2]) <= ZERO_TOL):
         return PositivityReport(TOEPLITZ_K, k, UNSUPPORTED, horizon)
-    first = _compound_external(form, 1, horizon, 1)
+    # Samples of the form for the compounds that read them.
+    g = impulse_response(form, horizon + 2 * k - 2)
+    first = _compound_external(form, 1, horizon, 1, g)
     if first.t0 is None:
         return PositivityReport(
             TOEPLITZ_K, k, first.verdict, horizon,
             certificate=("impulse response identically zero"
                          if first.verdict == CERTIFIED else None))
     details = (first,) + tuple(
-        _compound_external(form, j, horizon, reversal_sign(j))
+        _compound_external(form, j, horizon, reversal_sign(j), g)
         for j in range(2, k + 1))
     witnesses = [{**sub.witness, "compound-order": j}
                  for j, sub in enumerate(details, start=1)
@@ -446,6 +448,91 @@ class TestSampledCompounds:
         rep = check_hankel_k(ss, 2)
         g = compound_impulse(impulse_response(ss, 66), 2, 64)
         assert rep.witness["value"] == g.value(rep.witness["time"]) < 0
+
+
+def overflow_tail(p):
+    """A pole p in 4e4..6e4, a complex pair of radius 0.5 and b = [-1, 3,
+    0.5]: the samples leave the doubles between t = 66 and 68, past the 64
+    that the zero level, the windows and the order-1 compound read."""
+    return StateSpace([[p, 0, 0], [0, 0.3824, -0.3221], [0, 0.3221, 0.3824]],
+                      [-1.0, 3.0, 0.5], [1, 1, 1])
+
+
+class TestOneSampling:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """(system, horizon) of every impulse response a check samples."""
+        seen = []
+        real = vardim.positivity.impulse_response
+
+        def spy(sys_, horizon):
+            seen.append((sys_, horizon))
+            return real(sys_, horizon)
+
+        monkeypatch.setattr(vardim.positivity, "impulse_response", spy)
+        return seen
+
+    @pytest.mark.parametrize("name, ks", [
+        ("complex-ss", (1, 2, 3)), ("repeated-ss", (1, 2, 3)),
+        ("fir-tail", (1, 2, 3)), ("complex-16", (1, 2, 8))])
+    def test_form_sampled_once_per_check(self, calls, name, ks):
+        # The form is the system itself: one sampling serves the zero
+        # level, t0, the windows and every compound of the check.
+        sys_ = SAMPLED_FORMS[name]
+        assert canonical(sys_) is sys_
+        for k in ks:
+            for check in (check_hankel_k, check_toeplitz_k):
+                calls.clear()
+                check(sys_, k)
+                assert [c[0] for c in calls] == [sys_], (check.__name__, k)
+
+    @pytest.mark.parametrize("n, k", [(3, 2), (3, 3), (6, 3), (10, 5),
+                                      (12, 6), (16, 8), (16, 16)])
+    def test_negated_bank_windows_read_a_prefix(self, calls, n, k):
+        # The windows read g(1..2k-2), and g(1) clears the zero level.
+        res = spread(n)
+        res[k - 1] = -res[k - 1]
+        check_hankel_k(even_bank(res), k)
+        assert len(calls) == 1
+        assert calls[0][1] + 1 <= 2 * k - 1
+
+    @pytest.mark.parametrize("p", (4e4, 5e4, 6e4))
+    @pytest.mark.parametrize("k, witness", [
+        (2, {"kind": "window-not-positive-semidefinite", "offset": 2,
+             "order": 1}),
+        (3, {"kind": "window-not-positive-definite", "offset": 1,
+             "order": 2})])
+    def test_hankel_windows_refute_before_the_overflow(self, p, k, witness):
+        ss = overflow_tail(p)
+        rep = check_hankel_k(ss, k)
+        assert (rep.verdict, rep.t0, rep.witness) == (REFUTED, 62, witness)
+        if k == 3:
+            # The order-3 compound would read samples that are not finite.
+            with pytest.raises(BudgetExceededError):
+                impulse_response(ss, DEFAULT_HORIZON + 2 * k - 2)
+
+    @pytest.mark.parametrize("p", (4e4, 5e4, 6e4))
+    def test_toeplitz_ladder_refutes_before_the_overflow(self, p):
+        # The order-3 ladder would read g up to t = 68; its order-1
+        # compound, which reads g up to the horizon, refutes first.
+        ss = overflow_tail(p)
+        with pytest.raises(BudgetExceededError):
+            impulse_response(ss, DEFAULT_HORIZON + 4)
+        rep = check_toeplitz_k(ss, 3)
+        assert rep.verdict == REFUTED
+        assert rep.witness == {
+            "kind": "negative-sample", "time": 62,
+            "value": impulse_response(ss, 62).value(62), "compound-order": 1}
+        assert rep.witness["value"] < 0
+
+    def test_overflow_read_by_a_layer_names_its_time(self):
+        # The order-2 compound of a positive tail reads g up to t = 66.
+        ss = StateSpace(overflow_tail(6e4).A, [1.0, 1.0, 0.5], [1, 1, 1])
+        with pytest.raises(BudgetExceededError) as want:
+            impulse_response(ss, DEFAULT_HORIZON + 2)
+        with pytest.raises(BudgetExceededError) as got:
+            check_hankel_k(ss, 2)
+        assert str(got.value) == str(want.value)
 
 
 class TestNecessaryCoefficients:
