@@ -11,7 +11,6 @@ from .errors import (BudgetExceededError, DegenerateSystemError, ParseError,
                      StructuralError, UnsupportedRepresentationError,
                      VardimError, WindowError)
 from .signals import (Signal, first_nonzero_sign, forward_difference,
-                      is_log_concave, is_log_convex, is_unimodal,
                       row_variations, variation)
 from .lti import (PartialFractionSystem, RationalTransferFunction,
                   StateSpace, StructuredMatrixView, canonical,
@@ -21,19 +20,14 @@ from .lti import (PartialFractionSystem, RationalTransferFunction,
 from .totpos import is_pd, is_psd, matrix_rank
 from .compound import compound_impulse, compound_transfer, reversal_sign
 from .positivity import (CERTIFIED, HOLDS, REFUTED, UNSUPPORTED,
-                         CoefficientCheck, Decomposition, PositivityReport,
-                         RelaxationBundle, RepeatedPoleCheck, check_external,
-                         check_hankel_k, check_hankel_total,
-                         check_relaxation, check_toeplitz_k,
-                         check_toeplitz_total, diff_system, hankel_decompose,
-                         necessary_coefficients, render_report,
-                         repeated_pole_check, toeplitz_decompose)
-from .oracle import (HeavyBallScenario, NeuronalCondition, OvdReport,
-                     OvdViolation, ScenarioResult, apply_hankel,
-                     apply_nonlinearity, apply_toeplitz,
-                     demo_system, hankel_truncation, heavy_ball,
-                     neuronal_condition, ovd_matrix, ovd_verify,
-                     run_scenario, toeplitz_truncation)
+                         Decomposition, PositivityReport, check_external,
+                         check_hankel_k, check_hankel_total, check_toeplitz_k,
+                         check_toeplitz_total, hankel_decompose,
+                         render_report, toeplitz_decompose)
+from .oracle import (HeavyBallScenario, OvdReport, OvdViolation,
+                     ScenarioResult, apply_hankel, apply_toeplitz,
+                     demo_system, hankel_truncation, heavy_ball, ovd_matrix,
+                     ovd_verify, run_scenario, toeplitz_truncation)
 from .sysfile import load_system, parse_system, serialize_system
 
 __version__ = "0.1.0"

@@ -179,14 +179,10 @@ def cmd_decompose(args) -> int:
     sys = load_system(args.system)
     if args.operator not in ("hankel", "toeplitz"):
         raise ParseError("decompose needs --operator hankel or toeplitz")
-    form = canonical(sys)
     if args.operator == "hankel":
-        if not isinstance(form, PartialFractionSystem):
-            raise UnsupportedRepresentationError(
-                "decomposition needs simple real poles")
-        dec = hankel_decompose(form, args.k, args.horizon)
+        dec = hankel_decompose(sys, args.k, args.horizon)
     else:
-        dec = toeplitz_decompose(form, args.k, args.horizon)
+        dec = toeplitz_decompose(sys, args.k, args.horizon)
     prefix = args.out or "decomposition."
     dom_path = prefix + "dominant.sys"
     rem_path = prefix + "remainder.sys"

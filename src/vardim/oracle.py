@@ -1,7 +1,6 @@
 """Ground-truth machinery: truncated operator application, brute-force
-variation-diminishing verification, static output nonlinearities, and the
-worked demo scenarios (three-lag demo, momentum tuning, two-channel
-imbalance condition)."""
+variation-diminishing verification, and the worked demo scenarios
+(three-lag demo, momentum tuning)."""
 
 from __future__ import annotations
 
@@ -420,59 +419,6 @@ def ovd_verify(sys, kind: str, k: int, input_length: int, output_length: int,
                       samples, seed, extra_inputs, stop_at)
 
 
-_BUILTIN_NONLINEARITIES = {
-    "relay": (lambda y: float(np.sign(y)), "sign-preserving"),
-    "saturation": (lambda y: float(np.clip(y, -1.0, 1.0)),
-                   "sign-preserving"),
-    "sigmoid": (lambda y: 1.0 / (1.0 + math.exp(-y)), "monotone"),
-}
-
-
-def apply_nonlinearity(y: Signal, kind: str = "relay",
-                       table: Optional[Sequence] = None,
-                       declared: Optional[str] = None) -> Signal:
-    """Samplewise static nonlinearity with its declared class enforced.
-
-    Sign-preserving maps keep the variation unchanged; monotone
-    (strictly increasing) maps keep the variation of the first forward
-    difference, i.e. the local extrema.  Violations of the declared class
-    raise.
-    """
-    if kind == "table":
-        if table is None or declared not in ("sign-preserving", "monotone"):
-            raise ValueError("custom tables need breakpoints and a declared "
-                             "class")
-        pts = sorted((float(x), float(v)) for x, v in table)
-        xs = [p[0] for p in pts]
-        vs = [p[1] for p in pts]
-        if declared == "monotone":
-            if any(b <= a for a, b in zip(vs, vs[1:])):
-                raise ValueError("monotone table must be strictly "
-                                 "increasing; declare sign-preserving "
-                                 "otherwise")
-        fn = lambda t: float(np.interp(t, xs, vs))
-        cls = declared
-    else:
-        try:
-            fn, cls = _BUILTIN_NONLINEARITIES[kind]
-        except KeyError:
-            raise ValueError(f"unknown nonlinearity {kind!r}") from None
-    out = Signal(y.support_start, tuple(fn(v) for v in y.values))
-    if cls == "sign-preserving":
-        for v, w in zip(y.values, out.values):
-            if np.sign(v) != np.sign(w) and abs(v) > ZERO_TOL:
-                raise ValueError("table is not sign-preserving at "
-                                 f"input {v}")
-        if variation(out) != variation(y):
-            raise ValueError("sign-preserving map changed the variation")
-    else:
-        dv = variation(forward_difference(y))
-        dw = variation(forward_difference(out))
-        if dv != dw:
-            raise ValueError("monotone map changed the local extrema count")
-    return out
-
-
 @dataclass(frozen=True)
 class ScenarioResult:
     """Reproducible record of a worked input/output scenario."""
@@ -583,34 +529,3 @@ def heavy_ball(curvature: float, step_size: float, momentum: float,
     extrema = variation(forward_difference(iterates))
     return HeavyBallScenario(a, alpha, beta, open_loop, closed, threshold,
                              beta >= threshold, report, iterates, extrema)
-
-
-@dataclass(frozen=True)
-class NeuronalCondition:
-    """Excitation/inhibition balance for a three-channel lag bank."""
-
-    ok: bool
-    margin: float
-
-
-def neuronal_condition(r1: float, r2: float, r3: float,
-                       p1: float, p2: float, p3: float) -> NeuronalCondition:
-    """Smoothing condition for the parallel bank r1/(z-p1) + r2/(z-p2)
-    - r3/(z-p3).
-
-    Requires r_i > 0, p1 > p2 > p3 > 0 and r2 >= r3.  The bank keeps the
-    one-step smoothing property exactly when the cross-channel gap margin
-    r1 r2 (p1-p2)^2 - r1 r3 (p1-p3)^2 - r2 r3 (p2-p3)^2 is nonnegative;
-    the margin equals the first sample of the order-2 compound response.
-    """
-    vals = dict(r1=r1, r2=r2, r3=r3, p1=p1, p2=p2, p3=p3)
-    if any(v <= 0 for v in vals.values()):
-        raise ValueError("all gains and poles must be positive")
-    if not (p1 > p2 > p3):
-        raise ValueError("poles must satisfy p1 > p2 > p3")
-    if r2 < r3:
-        raise ValueError("the inhibitory gain must not exceed r2")
-    margin = math.fsum([r1 * r2 * (p1 - p2) ** 2,
-                        -r1 * r3 * (p1 - p3) ** 2,
-                        -r2 * r3 * (p2 - p3) ** 2])
-    return NeuronalCondition(margin >= 0.0, margin)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from sys import float_info
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -23,12 +23,11 @@ from .errors import (BudgetExceededError, StructuralError,
                      UnsupportedRepresentationError)
 from .exact import serial_lag
 from .lti import (DEFAULT_HORIZON, PartialFractionSystem,
-                  RationalTransferFunction, StateSpace, canonical,
-                  dominance_key, hankel_matrix, impulse_response,
-                  overflow_error, partial_fraction_samples, recombine,
-                  toeplitz_matrix)
-from .signals import Signal, forward_difference
-from .tolerance import ROOT_TOL, SLACK_TOL, ZERO_TOL
+                  RationalTransferFunction, canonical, dominance_key,
+                  hankel_matrix, impulse_response, overflow_error,
+                  partial_fraction_samples, recombine, toeplitz_matrix)
+from .signals import Signal
+from .tolerance import SLACK_TOL, ZERO_TOL
 from .totpos import is_pd, is_psd, minor_zero_threshold
 
 CERTIFIED = "certified"
@@ -48,7 +47,6 @@ HANKEL_K = "hankel-k"
 TOEPLITZ_K = "toeplitz-k"
 HANKEL_TOTAL = "hankel-total"
 TOEPLITZ_TOTAL = "toeplitz-total"
-RELAXATION = "relaxation"
 
 
 @dataclass(frozen=True)
@@ -661,89 +659,6 @@ def _compound_external(form, j: int, horizon: int, sign: int,
     return check_external(comp, horizon)
 
 
-class CoefficientCheck(NamedTuple):
-    ok: bool
-    index: Optional[int]
-    reason: Optional[str]
-
-
-def necessary_coefficients(sys, k: int,
-                           operator: str = "hankel") -> CoefficientCheck:
-    """Necessary residue/pole sign pattern for order-k positivity.
-
-    Hankel: the first min(k, n) residues are positive with nonnegative
-    poles.  Toeplitz: residues alternate starting positive, poles
-    nonnegative.  Returns the first offending 1-based index.
-    """
-    pfs = canonical(sys)
-    if not isinstance(pfs, PartialFractionSystem):
-        raise UnsupportedRepresentationError(
-            "coefficient conditions need simple real poles")
-    m = min(k, len(pfs.terms))
-    for i in range(1, m + 1):
-        r, p = pfs.terms[i - 1]
-        if p < -ZERO_TOL:
-            return CoefficientCheck(False, i, f"pole {p} negative")
-        if operator == "hankel":
-            if r <= 0:
-                return CoefficientCheck(False, i, f"residue {r} not positive")
-        elif operator == "toeplitz":
-            want = 1 if i % 2 == 1 else -1
-            if r * want <= 0:
-                return CoefficientCheck(
-                    False, i, f"residue {r} breaks the alternating pattern")
-        else:
-            raise ValueError(f"unknown operator {operator!r}")
-    return CoefficientCheck(True, None, None)
-
-
-class RelaxationBundle(NamedTuple):
-    coefficient_form: bool
-    window_definite: bool
-    alternating_differences: bool
-
-    @property
-    def agree(self) -> bool:
-        return (self.coefficient_form == self.window_definite
-                == self.alternating_differences)
-
-
-def check_relaxation(pfs: PartialFractionSystem, J: int = 6,
-                     horizon: int = 40) -> RelaxationBundle:
-    """Three equivalent faces of complete monotonicity.
-
-    (a) all residues and poles nonnegative; (b) the order-n windows at
-    offsets 1 and 2 are PD/PSD; (c) the alternating forward differences
-    of the impulse response are nonnegative samplewise for orders 0..J.
-    The three must agree for bounded impulse responses.
-    """
-    if len(pfs.fir):
-        raise UnsupportedRepresentationError(
-            "relaxation bundle needs a pure pole/residue form")
-    n = len(pfs.terms)
-    if n == 0:
-        return RelaxationBundle(True, True, True)
-    coeff = all(r > 0 for r in pfs.residues) and \
-        all(p >= 0 for p in pfs.poles)
-
-    need = max(horizon + J + 1, 2 * n + 2)
-    g = impulse_response(pfs, need)
-    h1 = hankel_matrix(g, 1, n).entries
-    h2 = hankel_matrix(g, 2, n).entries
-    definite = is_pd(h1) and is_psd(h2)
-
-    tail = Signal(1, g.window(1, horizon + J))
-    alternating = True
-    for j in range(J + 1):
-        d = tail if j == 0 else forward_difference(tail, j)
-        vals = [((-1) ** j) * v for v in d.values]
-        scale = max(max(abs(v) for v in vals), 1e-300) if vals else 1.0
-        if any(v < -SLACK_TOL * scale for v in vals):
-            alternating = False
-            break
-    return RelaxationBundle(coeff, definite, alternating)
-
-
 @dataclass(frozen=True)
 class Decomposition:
     """Dominant/remainder split of a system.
@@ -760,24 +675,8 @@ class Decomposition:
     factor_pole: Optional[float] = None
     note: str = ""
 
-    def recombined_impulse(self, horizon: int) -> Signal:
-        if self.mode == "hankel-additive":
-            a = impulse_response(self.dominant, horizon)
-            if self.remainder.is_zero():
-                return a
-            b = impulse_response(self.remainder, horizon)
-            return Signal(0, tuple(a.value(t) + b.value(t)
-                                   for t in range(horizon + 1)))
-        gr = impulse_response(self.remainder, horizon)
-        p1 = self.factor_pole
-        out = []
-        for t in range(horizon + 1):
-            out.append(math.fsum(p1 ** (t - s) * gr.value(s)
-                                 for s in range(t + 1)))
-        return Signal(0, tuple(out))
 
-
-def hankel_decompose(pfs: PartialFractionSystem, k: int,
+def hankel_decompose(sys, k: int,
                      horizon: int = DEFAULT_HORIZON) -> Decomposition:
     """Split off the k leading first-order terms.
 
@@ -786,6 +685,10 @@ def hankel_decompose(pfs: PartialFractionSystem, k: int,
     is vetted at order k-1 at the necessary-condition tier (coefficient
     signs plus leading compound samples).
     """
+    pfs = canonical(sys)
+    if not isinstance(pfs, PartialFractionSystem):
+        raise UnsupportedRepresentationError(
+            "decomposition needs simple real poles")
     if len(pfs.fir):
         raise UnsupportedRepresentationError(
             "decomposition needs a pure pole/residue form")
@@ -962,62 +865,3 @@ def _root_witness(rtf: RationalTransferFunction) -> Optional[dict]:
         if z.real > ZERO_TOL * scale:
             return {"kind": "positive-real-zero", "zero": z.real}
     return None
-
-
-class RepeatedPoleCheck(NamedTuple):
-    ok: bool
-    reason: Optional[str]
-    multiplicities: tuple
-
-
-def repeated_pole_check(ss: StateSpace, k: int) -> RepeatedPoleCheck:
-    """Necessary multiplicity pattern for order-k positivity of the
-    past-to-future operator: the k-1 dominant pole clusters are simple and
-    the (k-1)-th is positive; at k = n all poles must be simple."""
-    lam = [complex(v) for v in np.linalg.eigvals(ss.A)]
-    lam.sort(key=dominance_key)
-    clusters = []
-    for v in lam:
-        if clusters and abs(v - clusters[-1][0]) <= ROOT_TOL * (
-                1.0 + abs(v)):
-            clusters[-1][1] += 1
-        else:
-            clusters.append([v, 1])
-    mults = tuple(m for _, m in clusters)
-    n = ss.order
-    limit = min(k - 1, len(clusters))
-    for i in range(limit):
-        if clusters[i][1] > 1:
-            return RepeatedPoleCheck(
-                False, f"dominant pole {clusters[i][0]} repeated "
-                       f"(multiplicity {clusters[i][1]})", mults)
-    if k >= 2:
-        if k - 1 > len(clusters):
-            return RepeatedPoleCheck(False, "fewer distinct poles than k-1",
-                                     mults)
-        p = clusters[k - 2][0]
-        if abs(p.imag) > ROOT_TOL * (1.0 + abs(p)) or p.real <= 0:
-            return RepeatedPoleCheck(
-                False, f"pole {p} at rank {k - 1} is not real positive",
-                mults)
-    if k >= n and any(m > 1 for m in mults):
-        return RepeatedPoleCheck(False, "total positivity needs all poles "
-                                        "simple", mults)
-    return RepeatedPoleCheck(True, None, mults)
-
-
-def diff_system(pfs: PartialFractionSystem) -> PartialFractionSystem:
-    """System whose impulse response is the negated first forward
-    difference of the source response, boundary sample included.
-
-    Pole terms map to residue r(1-p) at the same pole; the t = 0 boundary
-    and any source FIR tail land in the direct tail.
-    """
-    terms = tuple((r * (1.0 - p), p) for r, p in pfs.terms)
-    fir_src = pfs.fir
-    end = max(fir_src.support_end if len(fir_src) else 0, 0)
-    fir = {t: fir_src.value(t) - fir_src.value(t + 1) for t in range(end + 1)}
-    fir[0] = fir.get(0, 0.0) - math.fsum(pfs.residues)
-    span = max(fir)
-    sig = Signal(0, tuple(fir.get(t, 0.0) for t in range(span + 1)))
-    return PartialFractionSystem(terms, sig)

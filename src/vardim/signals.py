@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tolerance import SLACK_TOL, ZERO_TOL
+from .tolerance import ZERO_TOL
 
 # Columns per base-3 sign word in ``row_variations``: a table of 3^8
 # words.
@@ -115,13 +115,6 @@ def forward_difference(u: Signal, k: int = 1) -> Signal:
     return Signal(start, tuple(vals))
 
 
-def is_unimodal(u: Signal) -> bool:
-    """True when the first forward difference changes sign at most once."""
-    if len(_as_samples(u)) <= 1:
-        return True
-    return variation(forward_difference(_coerce(u), 1)) <= 1
-
-
 def first_nonzero_sign(u, zero_tol: float = ZERO_TOL) -> int:
     """Sign of the earliest-time nonzero sample, 0 for the zero signal."""
     for v in _as_samples(u):
@@ -190,48 +183,3 @@ def row_variations(rows, zero_tol: float = ZERO_TOL) -> tuple:
         changes, first, last = _join(changes, first, last,
                                      *(t[code] for t in table))
     return changes, first
-
-
-def _coerce(u) -> Signal:
-    return u if isinstance(u, Signal) else Signal(0, tuple(u))
-
-
-def _default_window(g: Signal, window) -> tuple:
-    if window is None:
-        return (g.support_start, g.support_end)
-    a, b = int(window[0]), int(window[1])
-    if b < a:
-        raise ValueError("window end precedes window start")
-    return (a, b)
-
-
-def _shape_check(g: Signal, window, concave: bool) -> bool:
-    a, b = _default_window(_coerce(g), window)
-    g = _coerce(g)
-    samples = [g.value(t) for t in range(a, b + 1)]
-    for t, v in zip(range(a, b + 1), samples):
-        if v < -ZERO_TOL:
-            raise ValueError(f"negative sample g({t})={v} inside window")
-    # Nonzero support restricted to the window must be contiguous.
-    nz = [i for i, v in enumerate(samples) if v > ZERO_TOL]
-    if nz and any(samples[i] <= ZERO_TOL for i in range(nz[0], nz[-1] + 1)):
-        return False
-    for i in range(len(samples) - 2):
-        sq = samples[i + 1] ** 2
-        prod = samples[i] * samples[i + 2]
-        lhs = (sq - prod) if concave else (prod - sq)
-        scale = max(sq, abs(prod), 1e-300)
-        if lhs < -SLACK_TOL * scale:
-            return False
-    return True
-
-
-def is_log_concave(g: Signal, window=None) -> bool:
-    """Nonnegative on the window, interval support, and
-    g(t+1)^2 - g(t) g(t+2) >= 0 up to relative slack ``SLACK_TOL``."""
-    return _shape_check(g, window, concave=True)
-
-
-def is_log_convex(g: Signal, window=None) -> bool:
-    """Mirror of is_log_concave with the inequality reversed."""
-    return _shape_check(g, window, concave=False)

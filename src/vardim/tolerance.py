@@ -15,6 +15,5 @@ RANK_TOL = 1e-10
 # times their scale.
 SLACK_TOL = 1e-9
 # A computed root or eigenvalue can move by up to this (relative): an
-# imaginary part this small is zero, and eigenvalues this close may be one
-# repeated eigenvalue.
+# imaginary part this small is zero.
 ROOT_TOL = 1e-8

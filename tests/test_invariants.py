@@ -5,11 +5,11 @@ import itertools
 import numpy as np
 import pytest
 
-from reference import is_k_positive
+from reference import apply_nonlinearity, is_k_positive
 from vardim.compound import compound_transfer
 from vardim.errors import BudgetExceededError
 from vardim.lti import PartialFractionSystem, impulse_response
-from vardim.oracle import apply_hankel, apply_nonlinearity
+from vardim.oracle import apply_hankel
 from vardim.positivity import (CERTIFIED, HOLDS, check_external,
                                check_hankel_k)
 from vardim.signals import Signal, forward_difference, variation

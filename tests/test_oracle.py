@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from reference import apply_nonlinearity, neuronal_condition
 from vardim import oracle
 from vardim.cli import main
 from vardim.errors import BudgetExceededError
@@ -14,9 +15,8 @@ from vardim.oracle import (DEFAULT_SEED, DEMO_FUTURE_GROWTH,
                            DEMO_PAST_DIMINISH, DEMO_PAST_ORDER_FLIP,
                            ENUM_CAP, OVD_BLOCK, OvdReport, OvdViolation,
                            _impulse_for, _lattice_candidates, apply_hankel,
-                           apply_nonlinearity, apply_toeplitz, demo_system,
-                           hankel_truncation, heavy_ball, neuronal_condition,
-                           ovd_matrix, ovd_verify, run_scenario,
+                           apply_toeplitz, demo_system, hankel_truncation,
+                           heavy_ball, ovd_matrix, ovd_verify, run_scenario,
                            toeplitz_truncation)
 from vardim.positivity import (CERTIFIED, REFUTED, check_hankel_k,
                                check_toeplitz_k)

@@ -9,9 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vardim.positivity
-from reference import DELETED, MOVED
+from reference import (DELETED, MOVED, check_relaxation, diff_system,
+                       necessary_coefficients, recombined_impulse,
+                       repeated_pole_check)
 from vardim.compound import compound_impulse, compound_transfer, reversal_sign
-from vardim.errors import BudgetExceededError, StructuralError
+from vardim.errors import (BudgetExceededError, StructuralError,
+                           UnsupportedRepresentationError)
 from vardim.lti import (DEFAULT_HORIZON, PartialFractionSystem,
                         RationalTransferFunction, StateSpace, canonical,
                         dominance_key, impulse_response, recombine)
@@ -20,10 +23,8 @@ from vardim.positivity import (CERTIFIED, HOLDS, REFUTED, TOEPLITZ_K,
                                _compound_external, _initial_window_witness,
                                _pole_magnitudes, check_external,
                                check_hankel_k, check_hankel_total,
-                               check_relaxation, check_toeplitz_k,
-                               check_toeplitz_total, diff_system,
-                               hankel_decompose, necessary_coefficients,
-                               render_report, repeated_pole_check,
+                               check_toeplitz_k, check_toeplitz_total,
+                               hankel_decompose, render_report,
                                toeplitz_decompose, WITNESS_SEARCH_CAP)
 from vardim.signals import Signal, forward_difference
 from vardim.tolerance import ZERO_TOL
@@ -589,7 +590,7 @@ class TestHankelDecompose:
 
     def test_recombination(self):
         dec = hankel_decompose(DEMO, 2)
-        got = dec.recombined_impulse(64)
+        got = recombined_impulse(dec, 64)
         want = impulse_response(DEMO, 64)
         np.testing.assert_allclose(got.to_array(), want.to_array(),
                                    rtol=1e-9, atol=1e-15)
@@ -597,6 +598,24 @@ class TestHankelDecompose:
     def test_refuted_precondition_raises(self):
         with pytest.raises(StructuralError):
             hankel_decompose(ALTERNATING, 2)
+
+    def test_any_representation(self):
+        # Like toeplitz_decompose, it canonicalises its input: the num/den
+        # and diagonal state-space twins of a bank split as their canonical
+        # forms do, and a complex pair is refused as a usage error.
+        bank = PartialFractionSystem(((1.0, 0.9), (0.5, 0.5), (0.2, 0.1)))
+        twins = (recombine(bank),
+                 StateSpace(np.diag(bank.poles), bank.residues, np.ones(3)))
+        for twin in twins:
+            want = hankel_decompose(canonical(twin), 2)
+            assert hankel_decompose(twin, 2).dominant.terms == \
+                want.dominant.terms
+        rotation = StateSpace([[0.9, 0, 0], [0, 0.3824, -0.3221],
+                               [0, 0.3221, 0.3824]], [1.0, 1.0, 0.5],
+                              [1, 1, 1])
+        with pytest.raises(UnsupportedRepresentationError,
+                           match="simple real poles"):
+            hankel_decompose(rotation, 2)
 
 
 class TestToeplitzDecompose:
@@ -634,7 +653,7 @@ class TestToeplitzDecompose:
 
     def test_recombination(self):
         dec = toeplitz_decompose(ALTERNATING, 2)
-        got = dec.recombined_impulse(64)
+        got = recombined_impulse(dec, 64)
         want = impulse_response(ALTERNATING, 64)
         np.testing.assert_allclose(got.to_array(), want.to_array(),
                                    rtol=1e-9, atol=1e-15)
@@ -644,7 +663,7 @@ class TestToeplitzDecompose:
         # component at the origin.
         rtf = RationalTransferFunction((0.3, 0.15), (1.0, -1.4, 0.45))
         dec = toeplitz_decompose(rtf, 2)
-        got = dec.recombined_impulse(64)
+        got = recombined_impulse(dec, 64)
         want = impulse_response(rtf, 64)
         np.testing.assert_allclose(got.to_array(), want.to_array(),
                                    rtol=1e-8, atol=1e-12)

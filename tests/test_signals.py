@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reference import is_log_concave, is_log_convex, is_unimodal
 from vardim.signals import (SIGN_WORD, Signal, first_nonzero_sign,
-                            forward_difference, is_log_concave,
-                            is_log_convex, is_unimodal, row_variations,
-                            variation)
+                            forward_difference, row_variations, variation)
 
 
 class TestVariation:
