@@ -676,15 +676,10 @@ class Decomposition:
     note: str = ""
 
 
-def hankel_decompose(sys, k: int,
-                     horizon: int = DEFAULT_HORIZON) -> Decomposition:
-    """Split off the k leading first-order terms.
-
-    Precondition: the order-k check must not refute.  The dominant part
-    must satisfy the parallel-lag total positivity pattern; the remainder
-    is vetted at order k-1 at the necessary-condition tier (coefficient
-    signs plus leading compound samples).
-    """
+def _decomposable(sys, k: int, horizon: int,
+                  check) -> PartialFractionSystem:
+    """The canonical form of ``sys`` when it is a pure pole/residue form of
+    order at least k whose order-k ``check`` does not refute."""
     pfs = canonical(sys)
     if not isinstance(pfs, PartialFractionSystem):
         raise UnsupportedRepresentationError(
@@ -695,10 +690,22 @@ def hankel_decompose(sys, k: int,
     n = len(pfs.terms)
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for order {n}")
-    pre = check_hankel_k(pfs, k, horizon)
-    if pre.verdict == REFUTED:
+    if check(pfs, k, horizon).verdict == REFUTED:
         raise StructuralError(
             f"order-{k} check refuted; no dominant decomposition exists")
+    return pfs
+
+
+def hankel_decompose(sys, k: int,
+                     horizon: int = DEFAULT_HORIZON) -> Decomposition:
+    """Split off the k leading first-order terms.
+
+    Precondition: the order-k check must not refute.  The dominant part
+    must satisfy the parallel-lag total positivity pattern; the remainder
+    is vetted at order k-1 at the necessary-condition tier (coefficient
+    signs plus leading compound samples).
+    """
+    pfs = _decomposable(sys, k, horizon, check_hankel_k)
     dominant = PartialFractionSystem(pfs.terms[:k])
     remainder = PartialFractionSystem(pfs.terms[k:])
     total = check_hankel_total(dominant, horizon)
@@ -737,20 +744,8 @@ def toeplitz_decompose(sys, k: int,
     tail for pole-at-zero parts.  All real zeros of the source must lie
     below the min(k, n)-th pole.
     """
-    pfs = canonical(sys)
-    if not isinstance(pfs, PartialFractionSystem):
-        raise UnsupportedRepresentationError(
-            "decomposition needs simple real poles")
-    if len(pfs.fir):
-        raise UnsupportedRepresentationError(
-            "decomposition needs a pure pole/residue form")
+    pfs = _decomposable(sys, k, horizon, check_toeplitz_k)
     n = len(pfs.terms)
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range for order {n}")
-    pre = check_toeplitz_k(pfs, k, horizon)
-    if pre.verdict == REFUTED:
-        raise StructuralError(
-            f"order-{k} check refuted; no dominant decomposition exists")
     r1, p1 = pfs.terms[0]
 
     m = min(k, n)
