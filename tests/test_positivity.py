@@ -602,7 +602,7 @@ class TestHankelDecompose:
     def test_any_representation(self):
         # Like toeplitz_decompose, it canonicalises its input: the num/den
         # and diagonal state-space twins of a bank split as their canonical
-        # forms do, and a complex pair is refused as a usage error.
+        # forms do, and a complex pair is refused as unsupported.
         bank = PartialFractionSystem(((1.0, 0.9), (0.5, 0.5), (0.2, 0.1)))
         twins = (recombine(bank),
                  StateSpace(np.diag(bank.poles), bank.residues, np.ones(3)))
