@@ -13,10 +13,9 @@ from .errors import (BudgetExceededError, DegenerateSystemError, ParseError,
 from .signals import (Signal, first_nonzero_sign, forward_difference,
                       row_variations, variation)
 from .lti import (PartialFractionSystem, RationalTransferFunction,
-                  StateSpace, StructuredMatrixView, canonical,
-                  hankel_matrix, impulse_response, partial_fractions,
-                  polynomial_roots, recombine, rtf_to_state_space,
-                  toeplitz_matrix)
+                  StateSpace, canonical, hankel_matrix, impulse_response,
+                  partial_fractions, polynomial_roots, recombine,
+                  rtf_to_state_space, toeplitz_matrix)
 from .totpos import is_pd, is_psd, matrix_rank
 from .compound import compound_impulse, compound_transfer, reversal_sign
 from .positivity import (CERTIFIED, HOLDS, REFUTED, UNSUPPORTED,

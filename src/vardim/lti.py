@@ -1,4 +1,4 @@
-"""System representations, impulse responses and structured matrix views.
+"""System representations, impulse responses and Hankel/Toeplitz windows.
 
 Three representations are supported: partial fractions (simple real poles
 plus an optional direct FIR tail), rational transfer functions stored as
@@ -259,24 +259,6 @@ class StateSpace:
 SystemLike = Union[PartialFractionSystem, RationalTransferFunction, StateSpace]
 
 
-@dataclass(frozen=True)
-class StructuredMatrixView:
-    """Materialized square window into a Hankel or Toeplitz operator."""
-
-    kind: str  # "hankel" | "toeplitz"
-    t: int
-    order: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
-        e.setflags(write=False)
-        object.__setattr__(self, "entries", e)
-
-    def det(self) -> float:
-        return float(np.linalg.det(self.entries))
-
-
 def polynomial_roots(coeffs: Sequence[float]) -> tuple:
     """Roots via companion-matrix eigenvalues, near-real roots snapped,
     sorted by descending magnitude."""
@@ -498,8 +480,8 @@ def _require_window(g: Signal, lo: int, hi: int, what: str):
             f"{g.support_start}..{g.support_end}")
 
 
-def hankel_matrix(g: Signal, t: int, j: int) -> StructuredMatrixView:
-    """j x j window with entry (a, b) = g(t+a+b-2); symmetric by pattern."""
+def hankel_matrix(g: Signal, t: int, j: int) -> np.ndarray:
+    """Read-only j x j window, entry (a, b) = g(t+a+b-2): symmetric."""
     if t < 1:
         raise ValueError("Hankel windows start at t >= 1")
     if j < 1:
@@ -508,12 +490,13 @@ def hankel_matrix(g: Signal, t: int, j: int) -> StructuredMatrixView:
     # g(t), ..., g(t+2j-2); row a is the slice from g(t+a).
     i = t - g.support_start
     s = g.values[i:i + 2 * j - 1]
-    return StructuredMatrixView("hankel", t, j,
-                                [s[a:a + j] for a in range(j)])
+    m = np.array([s[a:a + j] for a in range(j)], dtype=float)
+    m.setflags(write=False)
+    return m
 
 
-def toeplitz_matrix(g: Signal, t: int, j: int) -> StructuredMatrixView:
-    """j x j window with entry (a, b) = g(t+a-b); g vanishes before t=0."""
+def toeplitz_matrix(g: Signal, t: int, j: int) -> np.ndarray:
+    """Read-only j x j window, entry (a, b) = g(t+a-b); g is 0 before t=0."""
     if t < 0:
         raise ValueError("Toeplitz windows start at t >= 0")
     if j < 1:
@@ -524,5 +507,6 @@ def toeplitz_matrix(g: Signal, t: int, j: int) -> StructuredMatrixView:
     # g(t+a).
     i = lo - g.support_start
     s = g.values[i:i + t + j - lo][::-1] + (0.0,) * (lo - (t - j + 1))
-    return StructuredMatrixView("toeplitz", t, j,
-                                [s[j - 1 - a:2 * j - 1 - a] for a in range(j)])
+    m = np.array([s[j - 1 - a:2 * j - 1 - a] for a in range(j)], dtype=float)
+    m.setflags(write=False)
+    return m

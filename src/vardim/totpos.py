@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .tolerance import RANK_TOL, SLACK_TOL
@@ -10,11 +12,7 @@ from .tolerance import RANK_TOL, SLACK_TOL
 def minor_zero_threshold(sub: np.ndarray, tol: float = SLACK_TOL) -> float:
     """Scale below which a determinant of ``sub`` is indistinguishable
     from zero: tol times the product of row sup-norms."""
-    sub = np.atleast_2d(sub)
-    prod = 1.0
-    for row in sub:
-        prod *= float(np.max(np.abs(row)))
-    return tol * prod
+    return tol * math.prod(np.abs(np.atleast_2d(sub)).max(axis=1).tolist())
 
 
 def _check_symmetric(X: np.ndarray):

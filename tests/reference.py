@@ -389,8 +389,8 @@ def check_relaxation(pfs: PartialFractionSystem, J: int = 6,
 
     need = max(horizon + J + 1, 2 * n + 2)
     g = impulse_response(pfs, need)
-    h1 = hankel_matrix(g, 1, n).entries
-    h2 = hankel_matrix(g, 2, n).entries
+    h1 = hankel_matrix(g, 1, n)
+    h2 = hankel_matrix(g, 2, n)
     definite = is_pd(h1) and is_psd(h2)
 
     tail = Signal(1, g.window(1, horizon + J))
@@ -579,4 +579,4 @@ MOVED = ("MINOR_SCAN_CAP", "MinorReport", "minor", "compound_matrix",
          "_BUILTIN_NONLINEARITIES", "apply_nonlinearity",
          "NeuronalCondition", "neuronal_condition")
 DELETED = ("toeplitz_minor", "zeros", "IndexTuple", "enumerate_tuples",
-           "_indices", "RELAXATION")
+           "_indices", "RELAXATION", "StructuredMatrixView")

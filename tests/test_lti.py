@@ -321,14 +321,14 @@ class TestStructuredMatrices:
         g = impulse_response(DEMO, 8)
         H = hankel_matrix(g, 1, 2)
         np.testing.assert_allclose(
-            H.entries, [[1.3, 1.05], [1.05, 0.853]], atol=1e-12)
-        assert H.det() == pytest.approx(0.0064, abs=1e-12)
+            H, [[1.3, 1.05], [1.05, 0.853]], atol=1e-12)
+        assert np.linalg.det(H) == pytest.approx(0.0064, abs=1e-12)
 
     def test_first_order_hankel_is_rank_one(self):
         g = impulse_response(PartialFractionSystem(((1.0, 0.6),)), 20)
         for t in range(1, 9):
-            assert hankel_matrix(g, t, 2).det() == pytest.approx(0.0,
-                                                                 abs=1e-15)
+            assert np.linalg.det(hankel_matrix(g, t, 2)) == pytest.approx(
+                0.0, abs=1e-15)
 
     def test_hankel_factorization(self):
         rng = np.random.default_rng(9)
@@ -338,7 +338,7 @@ class TestStructuredMatrices:
             g = impulse_response(pfs, 30)
             j = int(rng.integers(1, len(pfs.terms) + 1))
             t = int(rng.integers(1, 10))
-            H = hankel_matrix(g, t, j).entries
+            H = hankel_matrix(g, t, j)
             O = extended_observability(ss, j)
             C = extended_controllability(ss, j)
             expect = O @ np.linalg.matrix_power(ss.A, t - 1) @ C
@@ -349,7 +349,7 @@ class TestStructuredMatrices:
         for n in (1, 2, 3, 4):
             pfs = random_pfs(rng, n, pole_range=(0.3, 0.95), min_gap=0.12)
             g = impulse_response(pfs, 3 * n + 4)
-            H = hankel_matrix(g, 1, n + 1).entries
+            H = hankel_matrix(g, 1, n + 1)
             s = np.linalg.svd(H, compute_uv=False)
             rank = int(np.sum(s > 1e-8 * s[0]))
             assert rank == min(n + 1, n)
@@ -357,9 +357,9 @@ class TestStructuredMatrices:
     def test_toeplitz_pattern_and_causality(self):
         g = impulse_response(DEMO, 8)
         T = toeplitz_matrix(g, 1, 3)
-        assert T.entries[0, 1] == g.value(0)
-        assert T.entries[0, 2] == 0.0  # g(-1) vanishes
-        assert T.entries[2, 0] == g.value(3)
+        assert T[0, 1] == g.value(0)
+        assert T[0, 2] == 0.0  # g(-1) vanishes
+        assert T[2, 0] == g.value(3)
 
     def test_window_coverage_errors(self):
         g = impulse_response(DEMO, 4)

@@ -116,7 +116,7 @@ class TestDefiniteness:
     def test_demo_window_is_pd(self):
         g = impulse_response(
             PartialFractionSystem(((0.9, 0.9), (0.5, 0.5), (-0.1, 0.1))), 8)
-        H = hankel_matrix(g, 1, 2).entries
+        H = hankel_matrix(g, 1, 2)
         assert is_pd(H)
         assert H[0, 0] == pytest.approx(1.3)
         assert np.linalg.det(H) == pytest.approx(0.0064, abs=1e-12)
@@ -148,13 +148,13 @@ class TestKPositive:
     def test_distinct_geometric_bank_is_strictly_positive(self):
         pfs = PartialFractionSystem(((1.0, 0.9), (1.0, 0.5), (1.0, 0.1)))
         g = impulse_response(pfs, 10)
-        H = hankel_matrix(g, 1, 3).entries
+        H = hankel_matrix(g, 1, 3)
         assert is_k_positive(H, 3, strict=True).positive is True
 
     def test_consecutive_mode_certifies(self):
         pfs = PartialFractionSystem(((1.0, 0.9), (1.0, 0.5), (1.0, 0.1)))
         g = impulse_response(pfs, 10)
-        H = hankel_matrix(g, 1, 3).entries
+        H = hankel_matrix(g, 1, 3)
         assert is_k_positive(H, 3, consecutive_only=True).positive is True
 
     def test_consecutive_mode_refutes_on_negative_minor(self):
@@ -192,7 +192,7 @@ class TestBruteForce:
     def test_totally_positive_window_passes(self):
         pfs = PartialFractionSystem(((1.0, 0.9), (1.0, 0.5), (1.0, 0.1)))
         g = impulse_response(pfs, 12)
-        H = hankel_matrix(g, 1, 4).entries
+        H = hankel_matrix(g, 1, 4)
         v = ovd_matrix(H, 4)
         assert isinstance(v, OvdReport) and v.passed
 
