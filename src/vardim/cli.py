@@ -11,10 +11,9 @@ import sys as _sys
 from typing import Optional
 
 from .compound import compound_transfer
-from .errors import (ParseError, StructuralError,
-                     UnsupportedRepresentationError, VardimError)
-from .lti import (DEFAULT_HORIZON, PartialFractionSystem, canonical,
-                  impulse_response, recombine)
+from .errors import ParseError, StructuralError, VardimError
+from .lti import (DEFAULT_HORIZON, impulse_response, pole_residue_form,
+                  recombine, require_horizon)
 from .oracle import (DEFAULT_SEED, SCENARIOS, heavy_ball, ovd_verify,
                      run_scenario)
 from .positivity import (CERTIFIED, HOLDS, REFUTED, UNSUPPORTED,
@@ -146,13 +145,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_compound(args) -> int:
-    pfs = canonical(load_system(args.system))
-    if not isinstance(pfs, PartialFractionSystem):
-        raise UnsupportedRepresentationError(
-            "compound reports need simple real poles")
-    if len(pfs.fir):
-        raise UnsupportedRepresentationError(
-            "compound reports need a pure pole/residue form")
+    sys = load_system(args.system)
+    require_horizon(args.horizon)
+    pfs = pole_residue_form(sys, "compound reports need")
     n = len(pfs.terms)
     horizon = args.horizon
     lines = [f"compound-order: {args.j}"]

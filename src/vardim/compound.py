@@ -18,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BudgetExceededError, UnsupportedRepresentationError
-from .lti import PartialFractionSystem, _require_window
+from .lti import PartialFractionSystem, _require_window, require_horizon
 from .signals import Signal
 from .tolerance import ZERO_TOL
 
@@ -46,8 +46,7 @@ def compound_impulse(g: Signal, j: int, horizon: int) -> Signal:
     finite samples is not a finite double."""
     if j < 1:
         raise ValueError("order j must be >= 1")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    require_horizon(horizon)
     end = horizon + 2 * j - 2
     _require_window(g, 1, end, f"H(t=1..{horizon}, j={j})")
     x = g.to_array()[1 - g.support_start:end + 1 - g.support_start]

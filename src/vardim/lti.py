@@ -188,6 +188,8 @@ class RationalTransferFunction:
     def __post_init__(self):
         num = np.trim_zeros(np.asarray(self.num, dtype=float), "f")
         den = np.trim_zeros(np.asarray(self.den, dtype=float), "f")
+        if not (np.isfinite(num).all() and np.isfinite(den).all()):
+            raise ValueError("transfer-function coefficients must be finite")
         if den.size == 0:
             raise ValueError("denominator must be nonzero")
         if num.size == 0:
@@ -291,14 +293,19 @@ def partial_fraction_samples(terms, fir: Signal, times) -> list:
     return out
 
 
+def require_horizon(horizon: int, name: str = "horizon"):
+    """The one rule for a horizon or step count: ValueError below 1."""
+    if horizon < 1:
+        raise ValueError(f"{name} must be >= 1")
+
+
 def impulse_response(sys: SystemLike, horizon: int) -> Signal:
     """Samples g(0..horizon); g(0) = 0 for strictly proper dynamics.
 
     Raises BudgetExceededError (``overflow_error``), naming the first t,
     when a sample up to the horizon is not a finite double (unstable
     dynamics overflow)."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    require_horizon(horizon)
     if isinstance(sys, PartialFractionSystem):
         try:
             g = partial_fraction_samples(sys.terms, sys.fir,
@@ -471,6 +478,18 @@ def canonical(sys: SystemLike) -> Union[PartialFractionSystem, StateSpace]:
     drop = ZERO_TOL * max(1.0, float(np.max(np.abs(residues))))
     return PartialFractionSystem(tuple(
         (float(r), float(p)) for r, p in zip(residues, lam) if abs(r) > drop))
+
+
+def pole_residue_form(sys: SystemLike, needs: str) -> PartialFractionSystem:
+    """The canonical form of ``sys`` if a pure pole/residue form, else
+    UnsupportedRepresentationError opening with ``needs``."""
+    pfs = canonical(sys)
+    if not isinstance(pfs, PartialFractionSystem):
+        raise UnsupportedRepresentationError(f"{needs} simple real poles")
+    if len(pfs.fir):
+        raise UnsupportedRepresentationError(
+            f"{needs} a pure pole/residue form")
+    return pfs
 
 
 def _require_window(g: Signal, lo: int, hi: int, what: str):

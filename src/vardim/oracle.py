@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import BudgetExceededError
 from .lti import (PartialFractionSystem, RationalTransferFunction,
-                  impulse_response)
+                  impulse_response, require_horizon)
 from .positivity import (CERTIFIED, PositivityReport, check_toeplitz_total)
 from .signals import (Signal, first_nonzero_sign, forward_difference,
                       row_variations, variation)
@@ -449,6 +449,7 @@ def run_scenario(name: str, horizon: int = 8,
     except KeyError:
         raise ValueError(f"unknown scenario {name!r}; choose from "
                          f"{sorted(SCENARIOS)}") from None
+    require_horizon(horizon)
     sys = system if system is not None else demo_system()
     g = impulse_response(sys, horizon + len(vec) + 1)
     if kind == "hankel":
@@ -510,6 +511,7 @@ def heavy_ball(curvature: float, step_size: float, momentum: float,
     step_size) + 1)^2, which is cross-checked against the pole-zero
     characterization of the closed loop.
     """
+    require_horizon(steps, "steps")
     a, alpha, beta = float(curvature), float(step_size), float(momentum)
     if a <= 0 or alpha <= 0 or beta <= 0:
         raise ValueError("curvature, step size and momentum must be "

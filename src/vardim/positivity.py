@@ -25,7 +25,8 @@ from .exact import serial_lag
 from .lti import (DEFAULT_HORIZON, PartialFractionSystem,
                   RationalTransferFunction, canonical, dominance_key,
                   hankel_matrix, impulse_response, overflow_error,
-                  partial_fraction_samples, recombine, toeplitz_matrix)
+                  partial_fraction_samples, pole_residue_form, recombine,
+                  require_horizon, toeplitz_matrix)
 from .signals import Signal
 from .tolerance import SLACK_TOL, ZERO_TOL
 from .totpos import is_pd, is_psd, minor_zero_threshold
@@ -356,6 +357,7 @@ def check_external(sys, horizon: int = DEFAULT_HORIZON) -> PositivityReport:
     ``negative-sample`` otherwise), or ends ``holds-to-horizon``.  Systems
     convertible only to state-space or rational form are sampled.
     """
+    require_horizon(horizon)
     pfs = canonical(sys)
     if not isinstance(pfs, PartialFractionSystem):
         return _check_external_sampled(impulse_response(sys, horizon), horizon)
@@ -469,6 +471,7 @@ def check_hankel_k(sys, k: int,
     certifies, the total-positivity characterization is used: it reads
     their residues and poles as given, so its sign test is exact for them.
     """
+    require_horizon(horizon)
     if k < 1:
         raise ValueError("k must be >= 1")
     form = canonical(sys)
@@ -532,6 +535,7 @@ def check_toeplitz_k(sys, k: int,
     order; the windows are tested only when none is refuted.  t0 is that
     of the order-1 compound, the system itself.
     """
+    require_horizon(horizon)
     if k < 1:
         raise ValueError("k must be >= 1")
     if (isinstance(sys, RationalTransferFunction) and sys.den[-1] != 0.0
@@ -680,13 +684,7 @@ def _decomposable(sys, k: int, horizon: int,
                   check) -> PartialFractionSystem:
     """The canonical form of ``sys`` when it is a pure pole/residue form of
     order at least k whose order-k ``check`` does not refute."""
-    pfs = canonical(sys)
-    if not isinstance(pfs, PartialFractionSystem):
-        raise UnsupportedRepresentationError(
-            "decomposition needs simple real poles")
-    if len(pfs.fir):
-        raise UnsupportedRepresentationError(
-            "decomposition needs a pure pole/residue form")
+    pfs = pole_residue_form(sys, "decomposition needs")
     n = len(pfs.terms)
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for order {n}")
@@ -784,6 +782,7 @@ def toeplitz_decompose(sys, k: int,
 def check_hankel_total(sys, horizon: int = DEFAULT_HORIZON) -> PositivityReport:
     """Exact parallel-lag characterization: every residue and pole
     nonnegative."""
+    require_horizon(horizon)
     pfs = canonical(sys)
     if not isinstance(pfs, PartialFractionSystem):
         return PositivityReport(
@@ -823,6 +822,7 @@ def check_toeplitz_total(sys,
     root (or gain) that ``_root_witness`` finds, or else the failing root
     count.  Other inputs are recombined and tested on their float roots.
     """
+    require_horizon(horizon)
     if isinstance(sys, RationalTransferFunction):
         lag = serial_lag(sys.num, sys.den)
         witness = None if lag.holds else (_root_witness(sys)

@@ -78,7 +78,9 @@ def parse_system(text: str):
             return RationalTransferFunction(
                 tuple(_vector(entries["num"], "num")),
                 tuple(_vector(entries["den"], "den")))
-        return StateSpace(np.asarray(entries["A"], dtype=float),
+        A = entries["A"]
+        rows = A if isinstance(A, (list, tuple)) else (A,)
+        return StateSpace(np.array([_vector(row, "A") for row in rows]),
                           _vector(entries["b"], "b"),
                           _vector(entries["c"], "c"))
     except ParseError:
@@ -88,13 +90,13 @@ def parse_system(text: str):
 
 
 def _vector(value, name: str) -> tuple:
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return (float(value),)
     if not isinstance(value, (list, tuple)):
         raise ParseError(f"{name} must be a number or an array")
     out = []
     for v in value:
-        if not isinstance(v, (int, float)):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ParseError(f"{name} entries must be numbers")
         out.append(float(v))
     return tuple(out)

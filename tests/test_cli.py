@@ -98,6 +98,17 @@ class TestSysfile:
         with pytest.raises(ParseError):
             parse_system("   \n# only a comment\n")
 
+    @pytest.mark.parametrize("text", [
+        "poles = [True]\nresidues = [1.0]\n",
+        "poles = [0.5]\nresidues = False\n",
+        "A = [[True]]\nb = [1.0]\nc = [1.0]\n",
+        "num = [1e400]\nden = [1.0, 0.5]\n",
+        "num = [1.0]\nden = [1e400, 1.0]\n",
+    ], ids=["bool-pole", "bool-residues", "bool-A", "inf-num", "inf-den"])
+    def test_boolean_or_non_finite_rejected(self, text):
+        with pytest.raises(ParseError):
+            parse_system(text)
+
     def test_round_trip_all_forms(self):
         systems = [
             PartialFractionSystem(((0.9, 0.9), (0.5, 0.5), (-0.1, 0.1))),
@@ -277,6 +288,10 @@ class TestCliCommands:
         ["oracle", "--operator", "hankel", "--alphabet", "1,x"],
         ["oracle", "--operator", "hankel", "--k", "0"],
         ["oracle", "--operator", "hankel", "--horizon", "0"],
+        ["check", "--operator", "external", "--horizon", "0"],
+        ["check", "--operator", "hankel-total", "--horizon", "-3"],
+        ["compound", "--j", "5", "--horizon", "0"],
+        ["decompose", "--operator", "toeplitz", "--horizon", "0"],
     ])
     def test_usage_errors_exit_2(self, demo_file, tmp_path, capsys, argv):
         out = ["--out", str(tmp_path / "dec.")] if argv[0] == "decompose" \

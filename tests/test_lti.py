@@ -399,6 +399,16 @@ class TestZerosAndRationalForm:
         with pytest.raises(DegenerateSystemError):
             RationalTransferFunction((0.0,), (1.0, -0.5))
 
+    @pytest.mark.parametrize("num, den", [
+        ((1.0,), (math.inf, 1.0)), ((math.nan,), (1.0, -0.5)),
+        ((1.0,), (1.0, -math.inf))])
+    def test_non_finite_coefficients_rejected(self, num, den):
+        # Refused before normalising, so numpy warns of nothing.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must be finite"):
+                RationalTransferFunction(num, den)
+
     def test_companion_realization_matches_series(self):
         rtf = RationalTransferFunction((2.0, -0.3), (1.0, -1.0, 0.21))
         ga = impulse_response(rtf, 40)

@@ -639,6 +639,10 @@ class TestScenarios:
         with pytest.raises(ValueError):
             run_scenario("nope")
 
+    def test_horizon_below_one(self):
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
+            run_scenario("hankel-diminish", 0)
+
 
 class TestHeavyBall:
     def test_unit_threshold(self):
@@ -667,6 +671,8 @@ class TestHeavyBall:
     def test_rejects_nonpositive_parameters(self):
         with pytest.raises(ValueError):
             heavy_ball(0.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            heavy_ball(1.0, 1.0, 4.0, steps=0)
 
 
 class TestNeuronalCondition:
