@@ -30,10 +30,6 @@ def dominance_key(x):
     return (-abs(z), -z.real, -z.imag)
 
 
-def _sorted_roots(roots) -> tuple:
-    return tuple(sorted(roots, key=dominance_key))
-
-
 class _Terms:
     """The ``terms`` field of ``PartialFractionSystem``.
 
@@ -218,8 +214,6 @@ class RationalTransferFunction:
 
     @cached_property
     def zeros(self) -> tuple:
-        if len(self.num) == 1:
-            return ()
         return polynomial_roots(self.num)
 
     @property
@@ -276,7 +270,7 @@ def polynomial_roots(coeffs: Sequence[float]) -> tuple:
             snapped.append(complex(z.real, 0.0))
         else:
             snapped.append(complex(z))
-    return _sorted_roots(snapped)
+    return tuple(sorted(snapped, key=dominance_key))
 
 
 def partial_fraction_samples(terms, fir: Signal, times) -> list:
@@ -284,12 +278,18 @@ def partial_fraction_samples(terms, fir: Signal, times) -> list:
     ``terms`` plus the FIR tail, every term rounded once and every sum
     correctly rounded (``math.fsum``): the values ``impulse_response``
     reports.  ``terms`` is iterated once per time, so a call for a single
-    time may pass an iterator."""
+    time may pass an iterator.  The list ends at the first sample that is
+    not a finite double."""
     out = []
     for t in times:
-        acc = [r * p ** (t - 1) for r, p in terms] if t >= 1 else []
-        acc.append(fir.value(t))
-        out.append(math.fsum(acc))
+        try:
+            acc = [r * p ** (t - 1) for r, p in terms] if t >= 1 else []
+            acc.append(fir.value(t))
+            out.append(math.fsum(acc))
+        except (OverflowError, ValueError):  # inf, or inf - inf
+            out.append(math.nan)
+        if not math.isfinite(out[-1]):
+            break
     return out
 
 
@@ -307,17 +307,7 @@ def impulse_response(sys: SystemLike, horizon: int) -> Signal:
     dynamics overflow)."""
     require_horizon(horizon)
     if isinstance(sys, PartialFractionSystem):
-        try:
-            g = partial_fraction_samples(sys.terms, sys.fir,
-                                         range(horizon + 1))
-        except OverflowError:  # a power p**(t-1) left the doubles
-            g = []
-            for t in range(horizon + 1):
-                try:
-                    g += partial_fraction_samples(sys.terms, sys.fir, (t,))
-                except OverflowError:
-                    g.append(math.inf)
-                    break
+        g = partial_fraction_samples(sys.terms, sys.fir, range(horizon + 1))
     elif isinstance(sys, StateSpace):
         g = [0.0]
         x = sys.b.copy()

@@ -185,13 +185,9 @@ class _SampleScan:
         self.padded = np.zeros((2, width))
         self.padded[0, :m] = self.r
         self.padded[1, :m] = self.p
-        ones = np.empty(width + self.s + self.c)
-        ones.fill(1.0)
-        # p**(t-1) at the first t >= max(next, 1).  ``_blocks`` copies it
-        # and then rebinds it, never writing into it, so it may share the
-        # buffer of the ones the chunk sums multiply by.
-        self.power = ones[:width]
-        self.ones = ones[width:width + self.s], ones[width + self.s:]
+        # p**(t-1) at the first t >= max(next, 1).
+        self.power = np.ones(width)
+        self.ones = np.ones(self.s), np.ones(self.c)
         self.next = 0
         self._exact = {}
 
@@ -445,20 +441,6 @@ def _compound_reach(form, j: int, horizon: int) -> int:
     return horizon + 2 * j - 2
 
 
-def _compound(form, j: int, horizon: int, g: Optional[Signal]):
-    """Order-j compound of a canonical form: the form itself at j = 1, the
-    residue formula for a pure pole/residue form, both in partial
-    fractions; otherwise the samples g_[j](1..horizon), each the
-    determinant of an order-j Hankel window of the samples g of the form
-    (g itself at j = 1), which must come from ``_finite_response`` up to
-    ``_compound_reach`` at least."""
-    reach = _compound_reach(form, j, horizon)
-    if not reach:
-        return form if j == 1 else compound_transfer(form, j)
-    g = _reaching(g, reach)
-    return g if j == 1 else compound_impulse(g, j, horizon)
-
-
 def check_hankel_k(sys, k: int,
                    horizon: int = DEFAULT_HORIZON) -> PositivityReport:
     """Order-k check for the past-to-future operator.
@@ -649,13 +631,22 @@ def _pole_magnitudes(form) -> tuple:
 def _compound_external(form, j: int, horizon: int, sign: int,
                        g: Optional[Signal]) -> PositivityReport:
     """External positivity of ``sign`` times the order-j compound of a
-    canonical form with samples g (``_compound``); above the form's order
-    the compound is zero."""
+    canonical form.  Above the form's order the compound is zero.  It is
+    the form itself at j = 1, or the residue formula for a pure pole/residue
+    form, both in partial fractions; otherwise the samples
+    g_[j](1..horizon), each the determinant of an order-j Hankel window of
+    the samples g of the form (g itself at j = 1), which must come from
+    ``_finite_response`` up to ``_compound_reach`` at least."""
     if j > form.order:
         return PositivityReport(
             EXTERNAL, 1, CERTIFIED, horizon, t0=None,
             certificate=f"compound order {j} above system order: zero")
-    comp = _compound(form, j, horizon, g)
+    reach = _compound_reach(form, j, horizon)
+    if not reach:
+        comp = form if j == 1 else compound_transfer(form, j)
+    else:
+        g = _reaching(g, reach)
+        comp = g if j == 1 else compound_impulse(g, j, horizon)
     if sign != 1:
         comp = comp.scaled(float(sign))
     if isinstance(comp, Signal):
@@ -739,14 +730,11 @@ def toeplitz_decompose(sys, k: int,
     The remainder is the exact inverse-filtered system: its impulse
     response is g(t) - p1 g(t-1), realized in residue space with a direct
     tail for pole-at-zero parts.  All real zeros of the source must lie
-    below the min(k, n)-th pole.
+    below the k-th pole.
     """
     pfs = _decomposable(sys, k, horizon, check_toeplitz_k)
-    n = len(pfs.terms)
-    r1, p1 = pfs.terms[0]
-
-    m = min(k, n)
-    p_cut = pfs.terms[m - 1][1]
+    p1 = pfs.terms[0][1]
+    p_cut = pfs.terms[k - 1][1]
     rtf = recombine(pfs)
     for z in rtf.zeros:
         if z.imag == 0.0 and z.real >= p_cut - ZERO_TOL * max(1.0, abs(
