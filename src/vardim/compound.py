@@ -84,6 +84,9 @@ def compound_transfer(pfs: PartialFractionSystem,
     Terms whose pole products coincide (within ``ZERO_TOL``) are merged
     into one, whose residue is the correctly rounded sum of theirs: one
     IEEE add for a pair, ``math.fsum`` for more.
+
+    Raises BudgetExceededError when a squared gap, a product or a merged
+    sum is not a finite double.
     """
     residues, poles = pfs.arrays
     n = len(residues)
@@ -99,18 +102,24 @@ def compound_transfer(pfs: PartialFractionSystem,
     # Squared gaps rounded exactly as the scalar expression rounds them,
     # flat at a * n + b.
     pl = poles.tolist()
-    gaps = np.array([(a - b) ** 2 for a in pl for b in pl])
+    try:
+        gaps = np.array([(a - b) ** 2 for a in pl for b in pl])
+    except OverflowError:
+        raise _overflow(j) from None
     # One vector product per factor, in the order prod(r_v), then the gaps
     # of combinations(v, 2), so every product rounds as a left-to-right loop.
     res = residues.take(cols[0])
     pole = poles.take(cols[0])
-    for c in cols[1:]:
-        res *= residues.take(c)
-        pole *= poles.take(c)
-    rows = cols * n
-    for a, b in itertools.combinations(range(j), 2):
-        res *= gaps.take(rows[a] + cols[b])
+    with np.errstate(all="ignore"):
+        for c in cols[1:]:
+            res *= residues.take(c)
+            pole *= poles.take(c)
+        rows = cols * n
+        for a, b in itertools.combinations(range(j), 2):
+            res *= gaps.take(rows[a] + cols[b])
     del cols, rows
+    if not (np.isfinite(res).all() and np.isfinite(pole).all()):
+        raise _overflow(j)
     # Equal products land in one group, whose sum does not depend on the
     # order of its members, so an unstable sort gives the same result, up
     # to the sign of a zero product: -0.0 == 0.0 may come in either order,
@@ -126,16 +135,25 @@ def compound_transfer(pfs: PartialFractionSystem,
         ends = np.append(heads[1:], m)
         sizes = ends - heads
         merged = res[heads]
-        # One IEEE add is the correctly rounded sum of a pair, as fsum is.
-        # fsum sums the larger groups; once any sum is not finite it sums
-        # every group, so that it raises or overflows as it always did.
+        # One IEEE add is the correctly rounded sum of a pair, as fsum is;
+        # fsum sums the larger groups.
         pair = sizes == 2
-        merged[pair] += res[heads[pair] + 1]
-        slow = sizes > (2 if np.isfinite(merged).all() else 1)
-        for g in np.flatnonzero(slow).tolist():
-            merged[g] = math.fsum(res[heads[g]:ends[g]].tolist())
+        with np.errstate(over="ignore"):
+            merged[pair] += res[heads[pair] + 1]
+        try:
+            for g in np.flatnonzero(sizes > 2).tolist():
+                merged[g] = math.fsum(res[heads[g]:ends[g]].tolist())
+        except OverflowError:
+            raise _overflow(j) from None
+        if not np.isfinite(merged).all():
+            raise _overflow(j)
         res, pole = merged, pole[heads]
     return PartialFractionSystem._from_ascending(res, pole)
+
+
+def _overflow(j: int) -> BudgetExceededError:
+    return BudgetExceededError(
+        f"order-{j} compound residue formula leaves the doubles")
 
 
 def _merge_heads(pole: np.ndarray):

@@ -184,6 +184,9 @@ class RationalTransferFunction:
     def __post_init__(self):
         num = np.trim_zeros(np.asarray(self.num, dtype=float), "f")
         den = np.trim_zeros(np.asarray(self.den, dtype=float), "f")
+        if den.size:  # monic; a quotient that overflows is not finite
+            with np.errstate(all="ignore"):
+                num, den = num / den[0], den / den[0]
         if not (np.isfinite(num).all() and np.isfinite(den).all()):
             raise ValueError("transfer-function coefficients must be finite")
         if den.size == 0:
@@ -193,8 +196,6 @@ class RationalTransferFunction:
         if num.size >= den.size:
             raise ValueError("system must be strictly proper "
                              "(deg num < deg den)")
-        num = num / den[0]
-        den = den / den[0]
         object.__setattr__(self, "num", tuple(float(v) for v in num))
         object.__setattr__(self, "den", tuple(float(v) for v in den))
         scale = max(1.0, max(abs(p) for p in self.poles))

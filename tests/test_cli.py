@@ -36,6 +36,9 @@ VALID_SYSTEMS = {
                          "[0, 0.3221, 0.3824]]\n"
                          "b = [1.0, 1.0, 0.5]\n"
                          "c = [1, 1, 1]\n",
+    "overflow-gap": "poles = [1e200, 0.5]\nresidues = [1.0, 1.0]\n",
+    "overflow-residues": "poles = [0.9, 0.5, 0.3]\n"
+                         "residues = [1e200, 1e200, -1e200]\n",
 }
 VALID_SYSTEM_COMMANDS = [
     *(["check", "--operator", op, "--k", "2"] for op in (
@@ -63,10 +66,12 @@ def test_valid_system_gets_no_usage_error(name, argv, tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
     if name == "fir-tail" and argv[0] == "compound":
         assert code == 5
-    if name == "overflow-compound" and argv[:3] in (
+    if name in ("overflow-compound", "overflow-residues") and argv[:3] in (
             ["check", "--operator", "hankel"],
             ["check", "--operator", "toeplitz"]):
         assert code == 5  # BudgetExceededError, not a usage error
+    if name.startswith("overflow-") and argv == ["compound", "--j", "2"]:
+        assert code == 5  # the residue formula leaves the doubles
 
 class TestSysfile:
     def test_parse_partial_fractions(self):
@@ -104,7 +109,9 @@ class TestSysfile:
         "A = [[True]]\nb = [1.0]\nc = [1.0]\n",
         "num = [1e400]\nden = [1.0, 0.5]\n",
         "num = [1.0]\nden = [1e400, 1.0]\n",
-    ], ids=["bool-pole", "bool-residues", "bool-A", "inf-num", "inf-den"])
+        "num = [1e10]\nden = [1e-300, 1.0]\n",
+    ], ids=["bool-pole", "bool-residues", "bool-A", "inf-num", "inf-den",
+            "monic-overflow"])
     def test_boolean_or_non_finite_rejected(self, text):
         with pytest.raises(ParseError):
             parse_system(text)

@@ -165,6 +165,22 @@ class TestCompoundTransfer:
         poles = sorted(comp.poles)
         assert poles.count(pytest.approx(0.27)) >= 1
 
+    @pytest.mark.parametrize("terms", [
+        ((1.0, 1e200), (1.0, 0.5)),  # a squared pole gap
+        ((1e200, 0.9), (1e200, 0.5), (-1e200, 0.3)),  # a residue product
+        ((1e300, 0.8), (1e300, 0.4), (1e300, 0.2), (-1e300, 0.1)),  # inf - inf
+        # 1.0 * 0.05 = 0.5 * 0.1: two finite products whose sum overflows.
+        tuple((1.34e154, p) for p in (1.0, 0.5, 0.1, 0.05)),
+        # 6 * 1 = 3 * 2 = 4 * 1.5: three, summed by fsum.
+        tuple((2.6458e153, p) for p in (6.0, 4.0, 3.0, 2.0, 1.5, 1.0)),
+    ], ids=["gap", "product", "products-cancel", "pair-sum", "group-sum"])
+    def test_overflow_exceeds_budget(self, terms):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BudgetExceededError,
+                               match="leaves the doubles"):
+                compound_transfer(PartialFractionSystem(terms), 2)
+
     def test_matches_minor_sequence(self):
         rng = np.random.default_rng(22)
         for _ in range(20):

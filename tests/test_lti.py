@@ -115,7 +115,8 @@ class TestNonFiniteSamples:
     @pytest.mark.parametrize("system, t", [
         (PartialFractionSystem(((1.0, 1e10),)), 32),
         (RationalTransferFunction((1.0,), (1.0, -1e10)), 32),
-        (RationalTransferFunction((1.0,), (1.0, 0.0, 1e300)), 6)])
+        (RationalTransferFunction((1.0,), (1.0, 0.0, 1e300)), 6),
+        (PartialFractionSystem(((1e300, 2.0), (-1e300, 1.9))), 29)])
     def test_every_form_names_the_first_bad_sample(self, system, t):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -401,9 +402,9 @@ class TestZerosAndRationalForm:
 
     @pytest.mark.parametrize("num, den", [
         ((1.0,), (math.inf, 1.0)), ((math.nan,), (1.0, -0.5)),
-        ((1.0,), (1.0, -math.inf))])
+        ((1.0,), (1.0, -math.inf)), ((1e10,), (1e-300, 1.0))])
     def test_non_finite_coefficients_rejected(self, num, den):
-        # Refused before normalising, so numpy warns of nothing.
+        # Refused with no numpy warning, also when normalising overflows.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="must be finite"):
