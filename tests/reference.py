@@ -579,4 +579,5 @@ MOVED = ("MINOR_SCAN_CAP", "MinorReport", "minor", "compound_matrix",
          "_BUILTIN_NONLINEARITIES", "apply_nonlinearity",
          "NeuronalCondition", "neuronal_condition")
 DELETED = ("toeplitz_minor", "zeros", "IndexTuple", "enumerate_tuples",
-           "_indices", "RELAXATION", "StructuredMatrixView")
+           "_indices", "RELAXATION", "StructuredMatrixView", "_compound",
+           "_sorted_roots")
