@@ -16,7 +16,7 @@ from .lti import (PartialFractionSystem, RationalTransferFunction,
                   impulse_response, require_horizon)
 from .positivity import (CERTIFIED, PositivityReport, check_toeplitz_total)
 from .signals import (Signal, first_nonzero_sign, forward_difference,
-                      row_variations, variation)
+                      row_variations, sign_buffers, variation)
 from .tolerance import ZERO_TOL
 from .totpos import matrix_rank
 
@@ -239,25 +239,53 @@ def candidate_rows(U: np.ndarray, max_variation: int,
     return rows, su[rows], fu[rows]
 
 
-def output_signs(X: np.ndarray, U: np.ndarray, eff_tol: float) -> tuple:
+class BlockWorkspace:
+    """What ``output_signs`` reuses across the blocks of one matrix X: X
+    transposed and contiguous, max|X| (at least 1), and for blocks of up
+    to ``rows`` inputs the product, its magnitudes, two guard-band masks
+    and the buffers of ``row_variations``.  A block of n inputs works on
+    their first n rows, so a scan allocates nothing of block size per
+    block; no array that ``output_signs`` returns is a view of them."""
+
+    def __init__(self, X: np.ndarray, rows: int):
+        self.XT = np.ascontiguousarray(X.T)
+        self.x_max = np.abs(X).max(initial=1.0)
+        shape = (rows, len(X))
+        self.Y, self.A = np.empty(shape), np.empty(shape)
+        self.near, self.inside = np.empty(shape, bool), np.empty(shape, bool)
+        self.signs = sign_buffers(*shape)
+
+
+def output_signs(X: np.ndarray, U: np.ndarray, eff_tol: float,
+                 work: Optional[BlockWorkspace] = None) -> tuple:
     """Variation and leading sign of ``X @ u`` for every row u of U.
 
     The block takes one matrix product, whose rows may round differently
     from the per-vector product ``X @ u``.  Both lie within the dot-product
     error bound of the exact value, so a row with an output within twice
     that bound of +-eff_tol is recomputed per vector: no sign then depends
-    on the blocking.
+    on the blocking.  ``work`` is a ``BlockWorkspace`` of X with room for
+    U; without one, one is made for this block.
     """
-    Y = U @ X.T
-    L = U.shape[1]
-    bound = (2 * L * L * np.finfo(float).eps * np.abs(X).max(initial=1.0)
-             * np.abs(U).max(initial=0.0) + np.finfo(float).tiny)
+    if work is None:
+        work = BlockWorkspace(X, len(U))
+    n, L = U.shape
+    Y = np.matmul(U, work.XT, out=work.Y[:n])
+    # max|U| as max(max U, -min U): the same value, NaN included, with no
+    # array of magnitudes.
+    u_max = np.maximum(U.max(initial=0.0), -U.min(initial=0.0))
+    bound = (2 * L * L * np.finfo(float).eps * work.x_max * u_max
+             + np.finfo(float).tiny)
     lo, hi = abs(eff_tol) - bound, abs(eff_tol) + bound
-    A = np.abs(Y)
-    near = (A >= lo) & (A <= hi)
-    for r in np.flatnonzero(near.any(axis=1)):
-        Y[r] = X @ np.array(U[r])
-    return row_variations(Y, eff_tol)
+    A = np.abs(Y, out=work.A[:n])
+    near = np.greater_equal(A, lo, out=work.near[:n])
+    near &= np.less_equal(A, hi, out=work.inside[:n])
+    # Most blocks have no output in the band: one test of the whole block
+    # spares them the per-row reduction.
+    if near.any():
+        for r in np.flatnonzero(near.any(axis=1)):
+            Y[r] = X @ np.array(U[r])
+    return row_variations(Y, eff_tol, work.signs)
 
 
 @functools.lru_cache(maxsize=8)
@@ -348,7 +376,8 @@ def ovd_matrix(matrix, k: int, alphabet: Sequence[float] = (-1, 0, 1),
     deterministic order: injected vectors (at most one sample per matrix
     column each, zero-padded), the lattice ``alphabet ** columns`` (at
     most ``ENUM_CAP`` points), then seeded uniform samples.  They are
-    checked ``OVD_BLOCK`` at a time, one matrix product per block.  The
+    checked ``OVD_BLOCK`` at a time, one matrix product per block, in one
+    ``BlockWorkspace`` allocated for the whole call.  The
     lattice candidates of each k (inputs, variations, leading signs) are
     cached read-only per alphabet and length, so the lattice runs as
     full blocks; on a sign-symmetric alphabet only its first half is
@@ -371,13 +400,14 @@ def ovd_matrix(matrix, k: int, alphabet: Sequence[float] = (-1, 0, 1),
             raise ValueError(f"extra input {u} is longer than the input "
                              f"length {length}")
     rank = matrix_rank(X)
-    eff_tol = ZERO_TOL * float(np.abs(X).max(initial=1.0))
+    work = BlockWorkspace(X, OVD_BLOCK)
+    eff_tol = ZERO_TOL * float(work.x_max)
 
     blocks = []
-    checked = 0
+    checked = found = 0
     for U, su, fu, sy, fy, inputs_of in _candidate_blocks(
             extras, alpha, length, k, samples, seed,
-            lambda U: output_signs(X, U, eff_tol)):
+            lambda U: output_signs(X, U, eff_tol, work)):
         if not len(U):
             continue
         grew = sy > su
@@ -386,7 +416,7 @@ def ovd_matrix(matrix, k: int, alphabet: Sequence[float] = (-1, 0, 1),
         # violation count to stop_at.
         last = None
         if stop_at is not None:
-            need = stop_at - sum(len(b[0]) for b in blocks)
+            need = stop_at - found
             if need <= 0:
                 last = 0
             elif need <= hits.size:
@@ -395,6 +425,7 @@ def ovd_matrix(matrix, k: int, alphabet: Sequence[float] = (-1, 0, 1),
                 hits = hits[hits <= last]
         if hits.size:
             blocks.append((hits, grew, su, sy, U, inputs_of))
+            found += hits.size
         if last is not None:
             checked += int(last) + 1
             break

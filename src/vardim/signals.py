@@ -162,21 +162,44 @@ def _word_powers(columns: int) -> np.ndarray:
     return powers
 
 
-def row_variations(rows, zero_tol: float = ZERO_TOL) -> tuple:
+def sign_buffers(rows: int, columns: int) -> tuple:
+    """Buffers that ``row_variations`` can reuse for blocks of up to
+    ``rows`` rows of ``columns`` samples: the masks above and below the
+    zero level, the sign digits, the same as floats, and the word codes."""
+    shape = (rows, columns)
+    return (np.empty(shape, bool), np.empty(shape, bool),
+            np.empty(shape, np.int8), np.empty(shape),
+            np.empty((rows, len(_word_powers(columns)))))
+
+
+def row_variations(rows, zero_tol: float = ZERO_TOL,
+                   buffers=None) -> tuple:
     """``variation`` and ``first_nonzero_sign`` of every row of a 2-D
     array, as two integer arrays.
 
     Each run of ``SIGN_WORD`` columns is one base-3 word, coded by one
     matrix product and looked up in ``_word_table``; the words of a row
     are joined from left to right.  A short last word reads as one padded
-    with zero signs.
+    with zero signs.  The masks and codes are written to the first rows
+    of ``buffers`` (from ``sign_buffers``), or to new ones without them;
+    the two arrays returned are new either way.
     """
     a = np.asarray(rows, dtype=float)
+    n, columns = a.shape
+    if buffers is None:
+        buffers = sign_buffers(n, columns)
+    pos, neg, digits, wide, codes = (b[:n] for b in buffers)
     # The digit s mod 3 of the sign s: +1 above zero_tol, else -1 below
     # -zero_tol, else 0 (NaN included).
-    pos = a > zero_tol
-    digits = pos.view(np.int8) + 2 * ((a < -zero_tol) & ~pos).view(np.int8)
-    codes = (_word_powers(a.shape[1]) @ digits.T).astype(np.intp)
+    np.greater(a, zero_tol, out=pos)
+    np.greater(np.less(a, -zero_tol, out=neg), pos, out=neg)
+    np.add(neg.view(np.int8), neg.view(np.int8), out=digits)
+    digits += pos.view(np.int8)
+    # Float digits: a product with int8 ones would cast a copy first.  The
+    # codes are small integers, exact in any summation order.
+    np.copyto(wide, digits)
+    codes = np.matmul(wide, _word_powers(columns).T,
+                      out=codes).astype(np.intp).T
     table = _word_table(SIGN_WORD)
     changes, first, last = (t[codes[0]] for t in table)
     for code in codes[1:]:

@@ -483,9 +483,9 @@ class TestSignMirror:
         seen = [0]
         signs = oracle.output_signs
 
-        def counting(X, U, eff_tol):
+        def counting(X, U, eff_tol, *rest):
             seen[0] += len(U)
-            return signs(X, U, eff_tol)
+            return signs(X, U, eff_tol, *rest)
         monkeypatch.setattr(oracle, "output_signs", counting)
         rep = ovd_verify(*LATTICE_ARGS, alphabet=alphabet)
         n = len(lattice_of(alphabet, 9, 3)[0])
