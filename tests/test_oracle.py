@@ -492,6 +492,57 @@ class TestSignMirror:
         assert rep.inputs_checked == n and seen[0] * share == n
 
 
+# A seeded mixed-sign matrix on inputs of length 7.  At k = 7 every nonzero
+# input is a candidate, so each block of samples reaches ``output_signs``
+# whole: 2048 rows, then the short rest.
+REUSE_X = np.random.default_rng(26).normal(size=(40, 7))
+REUSE_K, REUSE_SEED = 7, 26
+
+
+def violation_blocks(report, samples):
+    """(source, block) of every violation: the lattice block of its
+    candidate, or the sample block of its input."""
+    lattice = lattice_of((-1, 0, 1), 7, REUSE_K)[0]
+    drawn = np.random.default_rng(REUSE_SEED).uniform(-1.0, 1.0,
+                                                      size=(samples, 7))
+    where = {u: ("lattice", i // OVD_BLOCK)
+             for i, u in enumerate(map(tuple, lattice.tolist()))}
+    where.update({u: ("sample", i // OVD_BLOCK)
+                  for i, u in enumerate(map(tuple, drawn.tolist()))})
+    return [where[v.input] for v in report.violations]
+
+
+class TestWorkspaceReuse:
+    """One ``BlockWorkspace`` serves every block of an ``ovd_matrix`` call:
+    a short block after a full one must see none of its rows, and nothing
+    a report keeps may change when later blocks reuse the buffers."""
+
+    @pytest.mark.parametrize("outputs", [1, 40])
+    @pytest.mark.parametrize("samples", [OVD_BLOCK + 1,
+                                         2 * OVD_BLOCK + 37])
+    def test_short_block_after_full_ones(self, outputs, samples):
+        X = REUSE_X[:outputs]
+        kw = dict(samples=samples, seed=REUSE_SEED)
+        got = ovd_matrix(X, REUSE_K, **kw)
+        # The violations are read only now, after the scan.
+        assert len(set(violation_blocks(got, samples))) >= 2
+        assert_same_report(got, scalar_ovd_matrix(X, REUSE_K, **kw))
+
+    def test_stop_at_in_a_short_last_block(self):
+        samples = 2 * OVD_BLOCK + 37
+        kw = dict(samples=samples, seed=REUSE_SEED)
+        blocks = violation_blocks(ovd_matrix(REUSE_X, REUSE_K, **kw),
+                                  samples)
+        in_short = [i for i, b in enumerate(blocks) if b == ("sample", 2)]
+        assert len(in_short) > 2
+        stop_at = in_short[len(in_short) // 2] + 1
+        got = ovd_matrix(REUSE_X, REUSE_K, stop_at=stop_at, **kw)
+        lattice = len(lattice_of((-1, 0, 1), 7, REUSE_K)[0])
+        assert 2 * OVD_BLOCK < got.inputs_checked - lattice < samples
+        assert_same_report(got, scalar_ovd_matrix(REUSE_X, REUSE_K,
+                                                  stop_at=stop_at, **kw))
+
+
 @pytest.fixture
 def built(monkeypatch):
     """Counts the ``OvdViolation`` objects that ``ovd_verify`` reports

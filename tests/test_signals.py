@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from reference import is_log_concave, is_log_convex, is_unimodal
 from vardim.signals import (SIGN_WORD, Signal, first_nonzero_sign,
-                            forward_difference, row_variations, variation)
+                            forward_difference, row_variations, sign_buffers,
+                            variation)
 
 
 class TestVariation:
@@ -90,6 +91,26 @@ class TestRowVariations:
         changes, first = row_variations(words)
         assert changes.tolist() == [variation(w) for w in words]
         assert first.tolist() == [first_nonzero_sign(w) for w in words]
+
+    def test_reused_buffers_match_fresh_ones(self):
+        # Buffers that a fuller block has filled, at zero levels of either
+        # sign: the counts of fresh buffers and of the scalar reference.
+        pool = [0.0, -0.0, 2.0, -3.0, 0.3, -0.3, math.nan, math.inf,
+                -math.inf] + [v for t in TOLS for v in (t, -t)]
+        rng = np.random.default_rng(26)
+        for width in (0, 3, SIGN_WORD, 10, 17):
+            buffers = sign_buffers(64, width)
+            for tol in TOLS + (-0.5,):
+                for n in (64, 37, 0):
+                    rows = rng.choice(pool, size=(n, width))
+                    got = row_variations(rows, tol, buffers)
+                    want = row_variations(rows, tol)
+                    assert [a.tolist() for a in got] == [a.tolist()
+                                                         for a in want]
+                    assert got[0].tolist() == [variation(r, tol)
+                                               for r in rows]
+                    assert got[1].tolist() == [first_nonzero_sign(r, tol)
+                                               for r in rows]
 
     def test_empty_rows_and_columns(self):
         for shape in ((0, 4), (3, 0)):

@@ -7,8 +7,8 @@ from reference import (compound_matrix, desnanot_jacobi_residual,
                        is_k_positive, minor)
 from test_oracle import assert_same_report, scalar_ovd_matrix
 from vardim.lti import PartialFractionSystem, impulse_response, hankel_matrix
-from vardim.oracle import (OVD_BLOCK, OvdReport, lattice_codes, output_signs,
-                           ovd_matrix)
+from vardim.oracle import (OVD_BLOCK, BlockWorkspace, OvdReport,
+                           lattice_codes, output_signs, ovd_matrix)
 from vardim.signals import row_variations
 from vardim.totpos import is_pd, is_psd, matrix_rank
 
@@ -41,6 +41,34 @@ def four_comparison_signs(X, U, eff_tol):
     for r in np.flatnonzero(near.any(axis=1)):
         Y[r] = X @ np.array(U[r])
     return row_variations(Y, eff_tol)
+
+
+GUARD_TOL = 1e-3
+
+
+def guard_band_cases() -> list:
+    """(X, rows, index of the first edge row, index of the row one ulp
+    beyond hi) for rows whose outputs lie at exactly +-lo, +-hi and +-0.0
+    of the guard band around ``GUARD_TOL``, and one ulp beside each; then
+    the same rows with NaN, and with +-inf (no indices for those two)."""
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    cases = []
+    for X, big in ((np.array([[1.0]]), [(1.0,)]),
+                   (np.array([[1.0, 1.0]]),
+                    [(1e308, 1e308), (-1e308, -1e308)])):
+        L = X.shape[1]
+        bound = (2 * L * L * eps * np.abs(X).max() * abs(big[0][0])
+                 + tiny)
+        lo, hi = GUARD_TOL - bound, GUARD_TOL + bound
+        edges = [s * v for v in (lo, hi, 0.0) for s in (1.0, -1.0)]
+        ys = edges + [np.nextafter(v, d) for v in edges
+                      for d in (-np.inf, np.inf)]
+        rows = big + [(y,) + (0.0,) * (L - 1) for y in ys]
+        beyond = ys.index(np.nextafter(hi, np.inf)) + len(big)
+        cases.append((X, rows, len(big), beyond))
+    X, rows = cases[0][:2]
+    return cases + [(X, rows + [(np.nan,)], None, None),
+                    (X, rows + [(np.inf,), (-np.inf,)], None, None)]
 
 
 class TestMinor:
@@ -271,33 +299,13 @@ class TestBruteForce:
         assert (got[0] == want[0]).all() and (got[1] == want[1]).all()
 
     def test_guard_band_matches_four_comparisons(self):
-        # Outputs at exactly +-lo, +-hi and +-0.0, one ulp beside each, and
-        # NaN and +-inf: the |Y| band must re-decide the same rows as the
-        # four comparisons on signed outputs, with the same signs.
-        eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
-        eff_tol = 1e-3
-        cases = []
-        for X, big in ((np.array([[1.0]]), [(1.0,)]),
-                       (np.array([[1.0, 1.0]]),
-                        [(1e308, 1e308), (-1e308, -1e308)])):
-            L = X.shape[1]
-            bound = (2 * L * L * eps * np.abs(X).max() * abs(big[0][0])
-                     + tiny)
-            lo, hi = eff_tol - bound, eff_tol + bound
-            edges = [s * v for v in (lo, hi, 0.0) for s in (1.0, -1.0)]
-            ys = edges + [np.nextafter(v, d) for v in edges
-                          for d in (-np.inf, np.inf)]
-            rows = big + [(y,) + (0.0,) * (L - 1) for y in ys]
-            beyond = ys.index(np.nextafter(hi, np.inf)) + len(big)
-            cases.append((X, rows, len(big), beyond))
-        X, rows = cases[0][:2]
-        cases += [(X, rows + [(np.nan,)], None, None),
-                  (X, rows + [(np.inf,), (-np.inf,)], None, None)]
-        for X, rows, first_edge, beyond in cases:
+        # The |Y| band must re-decide the same rows as the four comparisons
+        # on signed outputs, with the same signs.
+        for X, rows, first_edge, beyond in guard_band_cases():
             got_U, want_U = logged_rows(rows), logged_rows(rows)
             with np.errstate(over="ignore"):
-                got = output_signs(X, got_U, eff_tol)
-                want = four_comparison_signs(X, want_U, eff_tol)
+                got = output_signs(X, got_U, GUARD_TOL)
+                want = four_comparison_signs(X, want_U, GUARD_TOL)
             assert got_U.read == want_U.read
             assert [a.tolist() for a in got] == [a.tolist() for a in want]
             if first_edge is not None:
@@ -305,6 +313,33 @@ class TestBruteForce:
                 assert set(range(first_edge, first_edge + 4)) <= set(
                     got_U.read)
                 assert beyond not in got_U.read
+
+    def test_workspace_matches_fresh_buffers(self):
+        # A workspace that an earlier full block has filled gives the
+        # signs and the re-decided rows of fresh buffers, on the guard
+        # band's edge rows and on a random block with outputs in the band.
+        rng = np.random.default_rng(26)
+        X = rng.normal(size=(10, 9))
+        U = rng.uniform(-1.0, 1.0, size=(OVD_BLOCK, 9))
+        Y = U @ X.T
+        # Zero levels at outputs of the block, so that their rows are in
+        # the band.
+        cases = [(X, U.tolist(), abs(Y[r, r % 10])) for r in (5, 700)]
+        cases += [(X, rows, GUARD_TOL)
+                  for X, rows, _, _ in guard_band_cases()]
+        reads = []
+        for X, rows, eff_tol in cases:
+            work = BlockWorkspace(X, OVD_BLOCK)
+            stale = rng.uniform(-1.0, 1.0, size=(OVD_BLOCK, X.shape[1]))
+            output_signs(X, stale, 0.5, work)
+            got_U, want_U = logged_rows(rows), logged_rows(rows)
+            with np.errstate(over="ignore"):
+                got = output_signs(X, got_U, eff_tol, work)
+                want = output_signs(X, want_U, eff_tol)
+            assert got_U.read == want_U.read
+            assert [a.tolist() for a in got] == [a.tolist() for a in want]
+            reads.append(got_U.read)
+        assert 5 in reads[0] and 700 in reads[1]
 
     def test_lattice_codes_follow_product_order(self):
         want = list(itertools.product(range(3), repeat=4))
