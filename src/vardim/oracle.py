@@ -400,7 +400,11 @@ def ovd_matrix(matrix, k: int, alphabet: Sequence[float] = (-1, 0, 1),
             raise ValueError(f"extra input {u} is longer than the input "
                              f"length {length}")
     rank = matrix_rank(X)
-    work = BlockWorkspace(X, OVD_BLOCK)
+    # Rows for the largest block of the call, so that a long output on a
+    # small lattice reserves no more than its blocks use.
+    lattice = len(_lattice_candidates(tuple(alpha), length, ZERO_TOL, k)[0])
+    work = BlockWorkspace(X, min(OVD_BLOCK,
+                                 max(len(extras), lattice, samples)))
     eff_tol = ZERO_TOL * float(work.x_max)
 
     blocks = []

@@ -542,6 +542,20 @@ class TestWorkspaceReuse:
         assert_same_report(got, scalar_ovd_matrix(REUSE_X, REUSE_K,
                                                   stop_at=stop_at, **kw))
 
+    def test_rows_follow_the_largest_block(self):
+        # A long output on a small lattice: the workspace has the rows of
+        # the call's blocks, not OVD_BLOCK of them (2048 rows of the
+        # product alone would take 32 MB here).
+        args = (DEMO, "toeplitz", 2, 4, 2000)
+        ovd_verify(*args)
+        tracemalloc.start()
+        try:
+            ovd_verify(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+
 
 @pytest.fixture
 def built(monkeypatch):
