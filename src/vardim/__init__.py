@@ -15,7 +15,7 @@ from .signals import (Signal, first_nonzero_sign, forward_difference,
 from .lti import (PartialFractionSystem, RationalTransferFunction,
                   StateSpace, canonical, hankel_matrix, impulse_response,
                   partial_fractions, polynomial_roots, recombine,
-                  rtf_to_state_space, toeplitz_matrix)
+                  toeplitz_matrix)
 from .totpos import is_pd, is_psd, matrix_rank
 from .compound import compound_impulse, compound_transfer, reversal_sign
 from .positivity import (CERTIFIED, HOLDS, REFUTED, UNSUPPORTED,

@@ -360,7 +360,7 @@ def partial_fractions(rtf: RationalTransferFunction) -> PartialFractionSystem:
     """Residue expansion over simple real poles.
 
     Raises UnsupportedRepresentationError for repeated or complex poles;
-    those systems are representable as StateSpace only.
+    those systems have no partial-fraction form.
     """
     poles = rtf.poles
     scale = max(1.0, max(abs(p) for p in poles))
@@ -421,24 +421,9 @@ def recombine(pfs: PartialFractionSystem) -> RationalTransferFunction:
     return RationalTransferFunction(tuple(num), tuple(den))
 
 
-def rtf_to_state_space(rtf: RationalTransferFunction) -> StateSpace:
-    """Controllable canonical realization from coefficient vectors."""
-    n = rtf.order
-    den = np.asarray(rtf.den)
-    num = np.zeros(n)
-    num[n - len(rtf.num):] = rtf.num
-    A = np.zeros((n, n))
-    A[0, :] = -den[1:]
-    for i in range(n - 1):
-        A[i + 1, i] = 1.0
-    b = np.zeros(n)
-    b[0] = 1.0
-    return StateSpace(A, b, num)
-
-
-def canonical(sys: SystemLike) -> Union[PartialFractionSystem, StateSpace]:
-    """Partial fractions when the poles are simple and real, otherwise a
-    state space (rational inputs through ``rtf_to_state_space``).
+def canonical(sys: SystemLike) -> SystemLike:
+    """Partial fractions when the poles are simple and real, otherwise the
+    input itself.
 
     State-space inputs are diagonalized; modes whose residue is negligible
     (uncontrollable or unobservable) are dropped.
@@ -449,7 +434,7 @@ def canonical(sys: SystemLike) -> Union[PartialFractionSystem, StateSpace]:
         try:
             return partial_fractions(sys)
         except UnsupportedRepresentationError:
-            return rtf_to_state_space(sys)
+            return sys
     if not isinstance(sys, StateSpace):
         raise TypeError(f"unsupported system type {type(sys).__name__}")
     lam, V = np.linalg.eig(sys.A)

@@ -463,13 +463,13 @@ def check_hankel_k(sys, k: int,
             return replace(total, property_name=HANKEL_K, k=k)
 
     # One sampling of sys serves the zero level, t0, the windows (which
-    # read g(1..2k-2)) and, when form is sys, the compound.
+    # read g(1..2k-2)) and the compound.  A converted form is a pure
+    # partial-fraction form, whose compound reads no samples (reach 0).
     need = max(horizon, 2 * k + 2)
     reach = _compound_reach(form, k, horizon)
     pfs = isinstance(form, PartialFractionSystem)
     stop = max(1, 2 * k - 2) if pfs else need
-    g = _reaching(_finite_response(
-        sys, max(stop, reach) if form is sys else stop), stop)
+    g = _reaching(_finite_response(sys, max(stop, reach)), stop)
     if pfs:
         # check_external's zero level.  t0 is looked for up to the last
         # finite sample, but past the windows only when none clears it.
@@ -490,8 +490,6 @@ def check_hankel_k(sys, k: int,
                 witness={"kind": f"window-not-positive-{kind}",
                          "offset": offset, "order": k - 1})
 
-    if form is not sys:
-        g = _finite_response(form, reach) if reach else None
     sub = _compound_external(form, k, horizon, 1, g)
     witness = {**sub.witness, "compound-order": k} if sub.witness else None
     certificate = None
@@ -624,6 +622,8 @@ def _pole_magnitudes(form) -> tuple:
     if isinstance(form, PartialFractionSystem):
         # Poles in dominance order; the FIR tail's poles at zero sort last.
         return form.poles + (0.0,) * (form.order - len(form.poles))
+    if isinstance(form, RationalTransferFunction):
+        return form.poles
     lam = np.linalg.eigvals(form.A)
     return tuple(sorted((complex(v) for v in lam), key=dominance_key))
 

@@ -60,9 +60,6 @@ class Signal:
     def scaled(self, a: float) -> "Signal":
         return Signal(self.support_start, tuple(a * v for v in self.values))
 
-    def __neg__(self) -> "Signal":
-        return self.scaled(-1.0)
-
     def trimmed(self, zero_tol: float = ZERO_TOL) -> "Signal":
         """Shrink the stored window to the nonzero support; with none
         left, the zero signal ``Signal()``."""
@@ -150,26 +147,19 @@ def _word_table(width: int) -> tuple:
     return word
 
 
-@functools.lru_cache(maxsize=64)
-def _word_powers(columns: int) -> np.ndarray:
-    """(words, columns) matrix that maps the sign digits of a row of
-    ``columns`` samples to the codes of its ``SIGN_WORD``-column words; a
-    row of no columns is one empty word.  Read-only."""
-    column = np.arange(columns)
-    powers = np.zeros((max(-(-columns // SIGN_WORD), 1), columns))
-    powers[column // SIGN_WORD, column] = 3.0 ** (column % SIGN_WORD)
-    powers.setflags(write=False)
-    return powers
+# The weight 3^j of the sign digit in column j of a word.
+_WORD_POWERS = 3.0 ** np.arange(SIGN_WORD)
 
 
 def sign_buffers(rows: int, columns: int) -> tuple:
     """Buffers that ``row_variations`` can reuse for blocks of up to
     ``rows`` rows of ``columns`` samples: the masks above and below the
-    zero level, the sign digits, the same as floats, and the word codes."""
+    zero level, the sign digits, the same as floats, and the codes of the
+    ``SIGN_WORD``-column words (a row of no columns is one empty word)."""
     shape = (rows, columns)
     return (np.empty(shape, bool), np.empty(shape, bool),
             np.empty(shape, np.int8), np.empty(shape),
-            np.empty((rows, len(_word_powers(columns)))))
+            np.empty((rows, max(-(-columns // SIGN_WORD), 1))))
 
 
 def row_variations(rows, zero_tol: float = ZERO_TOL,
@@ -178,11 +168,11 @@ def row_variations(rows, zero_tol: float = ZERO_TOL,
     array, as two integer arrays.
 
     Each run of ``SIGN_WORD`` columns is one base-3 word, coded by one
-    matrix product and looked up in ``_word_table``; the words of a row
-    are joined from left to right.  A short last word reads as one padded
-    with zero signs.  The masks and codes are written to the first rows
-    of ``buffers`` (from ``sign_buffers``), or to new ones without them;
-    the two arrays returned are new either way.
+    matrix-vector product per word and looked up in ``_word_table``; the
+    words of a row are joined from left to right.  A short last word reads
+    as one padded with zero signs.  The masks and codes are written to the
+    first rows of ``buffers`` (from ``sign_buffers``), or to new ones
+    without them; the two arrays returned are new either way.
     """
     a = np.asarray(rows, dtype=float)
     n, columns = a.shape
@@ -198,8 +188,10 @@ def row_variations(rows, zero_tol: float = ZERO_TOL,
     # Float digits: a product with int8 ones would cast a copy first.  The
     # codes are small integers, exact in any summation order.
     np.copyto(wide, digits)
-    codes = np.matmul(wide, _word_powers(columns).T,
-                      out=codes).astype(np.intp).T
+    for w, code in enumerate(codes.T):
+        word = wide[:, w * SIGN_WORD:(w + 1) * SIGN_WORD]
+        np.matmul(word, _WORD_POWERS[:word.shape[1]], out=code)
+    codes = codes.astype(np.intp).T
     table = _word_table(SIGN_WORD)
     changes, first, last = (t[codes[0]] for t in table)
     for code in codes[1:]:

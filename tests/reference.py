@@ -5,8 +5,9 @@ The paper states k-positivity through the C(n, j)-state compound
 realization and the minors of the compound matrix (Karlin, *Total
 Positivity*, 1968).  The package decides every verdict another way: by
 the Cauchy-Binet residue formula, by Hankel-window determinants or by the
-exact serial-lag test.  The tests compare those routes with the dense
-constructions below, which no check runs.
+exact serial-lag test, and it samples a num/den input by its own
+recursion, not through a companion realization.  The tests compare those
+routes with the dense constructions below, which no check runs.
 
 The paper's propositions follow them: the shapes of an impulse response
 (unimodal, log-concave, log-convex), the necessary residue and pole
@@ -31,8 +32,9 @@ import numpy as np
 
 from vardim.errors import (BudgetExceededError, DegenerateSystemError,
                            UnsupportedRepresentationError)
-from vardim.lti import (PartialFractionSystem, StateSpace, canonical,
-                        dominance_key, hankel_matrix, impulse_response)
+from vardim.lti import (PartialFractionSystem, RationalTransferFunction,
+                        StateSpace, canonical, dominance_key, hankel_matrix,
+                        impulse_response)
 from vardim.positivity import Decomposition
 from vardim.signals import (Signal, _as_samples, forward_difference,
                             variation)
@@ -219,6 +221,21 @@ def to_state_space(pfs: PartialFractionSystem,
     if not diag:
         raise DegenerateSystemError("zero system has no realization")
     return StateSpace(np.diag(diag), b, c)
+
+
+def rtf_to_state_space(rtf: RationalTransferFunction) -> StateSpace:
+    """Controllable canonical realization from coefficient vectors."""
+    n = rtf.order
+    den = np.asarray(rtf.den)
+    num = np.zeros(n)
+    num[n - len(rtf.num):] = rtf.num
+    A = np.zeros((n, n))
+    A[0, :] = -den[1:]
+    for i in range(n - 1):
+        A[i + 1, i] = 1.0
+    b = np.zeros(n)
+    b[0] = 1.0
+    return StateSpace(A, b, num)
 
 
 def extended_controllability(ss: StateSpace, j: int) -> np.ndarray:
@@ -569,7 +586,7 @@ def neuronal_condition(r1: float, r2: float, r3: float,
 # constants it deleted; no ``vardim`` module binds any of them.
 MOVED = ("MINOR_SCAN_CAP", "MinorReport", "minor", "compound_matrix",
          "KPositivityVerdict", "_scan_budget", "is_k_positive",
-         "desnanot_jacobi_residual", "to_state_space",
+         "desnanot_jacobi_residual", "to_state_space", "rtf_to_state_space",
          "extended_controllability", "extended_observability",
          "compound_realization", "is_unimodal", "_coerce",
          "_default_window", "_shape_check", "is_log_concave",

@@ -1,7 +1,9 @@
 import math
+import random
 import sys
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -475,7 +477,8 @@ class TestOneSampling:
 
     @pytest.mark.parametrize("name, ks", [
         ("complex-ss", (1, 2, 3)), ("repeated-ss", (1, 2, 3)),
-        ("fir-tail", (1, 2, 3)), ("complex-16", (1, 2, 8))])
+        ("fir-tail", (1, 2, 3)), ("complex-16", (1, 2, 8)),
+        ("complex-rtf", (1, 2, 3))])
     def test_form_sampled_once_per_check(self, calls, name, ks):
         # The form is the system itself: one sampling serves the zero
         # level, t0, the windows and every compound of the check.
@@ -534,6 +537,70 @@ class TestOneSampling:
         with pytest.raises(BudgetExceededError) as got:
             check_hankel_k(ss, 2)
         assert str(got.value) == str(want.value)
+
+
+def exact_samples(rtf, stop):
+    """g(0..stop) of a num/den system as given, by its recursion in exact
+    rational arithmetic."""
+    den = [Fraction(v) for v in rtf.den]
+    n = len(den) - 1
+    # The numerator coefficient of z^(n-t), zero past the strict degree.
+    c = [Fraction(0)] * (n + 1 - len(rtf.num)) + [Fraction(v)
+                                                  for v in rtf.num]
+    g = []
+    for t in range(stop + 1):
+        g.append((c[t] if t <= n else 0) - sum(
+            den[i] * g[t - i] for i in range(1, min(t, n) + 1)))
+    return g
+
+
+def exact_det(m):
+    """Determinant of a square matrix of Fractions by elimination."""
+    m = [list(row) for row in m]
+    d = Fraction(1)
+    for i in range(len(m)):
+        p = next((r for r in range(i, len(m)) if m[r][i]), None)
+        if p is None:
+            return Fraction(0)
+        if p != i:
+            m[i], m[p], d = m[p], m[i], -d
+        d *= m[i][i]
+        for r in range(i + 1, len(m)):
+            f = m[r][i] / m[i][i]
+            m[r] = [a - f * b for a, b in zip(m[r], m[i])]
+    return d
+
+
+def seeded_banks():
+    """60 degree-16 num/den systems with positive residues: each is 16
+    poles in U(0.05, 0.95) and 16 residues in U(0.2, 2), recombined.  The
+    float roots of some of their denominators are not simple and real."""
+    rng = random.Random(5)
+    for _ in range(60):
+        poles = [rng.uniform(0.05, 0.95) for _ in range(16)]
+        residues = [rng.uniform(0.2, 2.0) for _ in range(16)]
+        yield recombine(PartialFractionSystem(tuple(zip(residues, poles))))
+
+
+class TestExactReplay:
+    def test_seeded_bank_witnesses_replay(self):
+        # Every order-2 refutation of a seeded bank names a compound sample
+        # g_[j](t) = det H(t, j) (sign-adjusted for Toeplitz) that is
+        # negative in exact arithmetic on the system as given.
+        replayed = 0
+        for rtf in seeded_banks():
+            for check, sign in ((check_hankel_k, lambda j: 1),
+                                (check_toeplitz_k, reversal_sign)):
+                rep = check(rtf, 2)
+                if rep.verdict != REFUTED:
+                    continue
+                j, t = rep.witness["compound-order"], rep.witness["time"]
+                g = exact_samples(rtf, t + 2 * j - 2)
+                value = sign(j) * exact_det(
+                    [g[t + a:t + a + j] for a in range(j)])
+                assert value < 0, (check.__name__, rep.witness)
+                replayed += 1
+        assert replayed >= 60
 
 
 class TestNecessaryCoefficients:

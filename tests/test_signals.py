@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,6 +118,19 @@ class TestRowVariations:
             changes, first = row_variations(np.zeros(shape))
             assert changes.shape == first.shape == (shape[0],)
             assert not changes.any() and not first.any()
+
+    def test_memory_linear_in_row_length(self):
+        # Every buffer is linear in the row length; a dense (words,
+        # columns) coding matrix would take 100 MB here.
+        row = np.ones((1, 10000))
+        tracemalloc.start()
+        try:
+            changes, first = row_variations(row)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (changes.tolist(), first.tolist()) == ([0], [1])
+        assert peak < 2 * 2 ** 20
 
 
 class TestForwardDifference:
