@@ -4,16 +4,20 @@ A float is a dyadic rational, so float coefficients times a power of two
 are Python ``int``s, and a question about the roots of a float polynomial
 is decided exactly on them.  A polynomial is a list of ``int``
 coefficients in descending powers, as ``numpy.poly`` orders them; ``[]``
-is the zero polynomial.  Root counts come from Sturm sequences built as
-primitive signed pseudo-remainder sequences (Basu, Pollack & Roy,
-*Algorithms in Real Algebraic Geometry*, ch. 2): each step multiplies by
-positive factors only, so every element has the sign of the signed
-remainder sequence's element at every point.  Standard library only.
+is the zero polynomial; a finite point is read as the rational a / b it
+is.  Root counts come from Sturm sequences built as primitive signed
+pseudo-remainder sequences (Basu, Pollack & Roy, *Algorithms in Real
+Algebraic Geometry*, ch. 2): each step multiplies by positive factors
+only, so every element has the sign of the signed remainder sequence's
+element at every point.  ``serial_lag`` first tries exact sign changes at
+points that float roots place; those roots decide nothing, and no
+tolerance is used.  Standard library only.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple
 
 INF = math.inf
@@ -111,14 +115,19 @@ def squarefree(p: list) -> list:
 
 
 def _sign_at(p: list, x) -> int:
+    """Sign of ``p`` at ``x``, an infinity or a finite number read as the
+    exact rational a / b: that of b^deg p * p(a / b)."""
     if x == INF or x == -INF:
         v = p[0] if x > 0 or len(p) % 2 else -p[0]
-    elif x == 0:
-        v = p[-1]
     else:
-        v = 0
-        for c in p:
-            v = v * x + c
+        try:
+            a, b = x.as_integer_ratio()
+        except AttributeError:  # a numpy integer
+            a, b = operator.index(x), 1
+        v, w = p[0], 1
+        for c in p[1:]:
+            w *= b
+            v = v * a + c * w
     return (v > 0) - (v < 0)
 
 
@@ -133,7 +142,7 @@ def _count(seq: list, lo, hi) -> int:
 
 def sturm_count(p: list, lo, hi) -> int:
     """Number of distinct real roots of ``p`` in (lo, hi], for lo < hi
-    integers or infinities: a root at ``hi`` counts, one at ``lo`` does
+    numbers or infinities: a root at ``hi`` counts, one at ``lo`` does
     not."""
     if not lo < hi:
         raise ValueError("need lo < hi")
@@ -190,16 +199,53 @@ class SerialLag(NamedTuple):
         return {}
 
 
-def serial_lag(num, den) -> SerialLag:
-    """Root counts of the float num/den pair (descending powers) as
-    given, every coefficient read as the exact dyadic rational it is."""
-    n, d = integer_poly(num), integer_poly(den)
+def _alternates(p: list, hints, lo, hi) -> bool:
+    """True when ``p``, of degree d >= 1 with p(0) != 0, has d simple roots
+    in (lo, hi): its signs strictly alternate at d + 1 increasing points,
+    lo, a short dyadic point between each two consecutive sorted real
+    parts of the d ``hints``, and hi.  Wrong hints only make it fail."""
+    d = len(p) - 1
+    if d < 1 or p[-1] == 0 or len(hints) != d:
+        return False
+    xs = sorted(h.real for h in hints)
+    points = [lo]
+    try:
+        for a, b in zip(xs, xs[1:]):
+            gap = b - a
+            if not 0 < gap < INF:
+                return False
+            step = math.ldexp(1.0, math.frexp(gap)[1] - 3)  # <= gap / 4
+            points.append(round((a + gap / 2) / step) * step)
+    except ArithmeticError:  # a subnormal gap far from zero
+        return False
+    points.append(hi)
+    if not all(x < y for x, y in zip(points, points[1:])):
+        return False
+    signs = [_sign_at(p, x) for x in points]
+    return all(s == -t != 0 for s, t in zip(signs, signs[1:]))
+
+
+def _roots(p: list, hints, lo, hi) -> tuple:
+    """Distinct roots of ``p`` in (lo, hi] and the degree of its
+    squarefree part, by ``_alternates`` or else by Sturm sequence."""
+    if _alternates(p, hints, lo, hi):
+        return len(p) - 1, len(p) - 1
+    seq = _squarefree_sturm(p)
+    return _count(seq, lo, hi), len(seq[0]) - 1
+
+
+def serial_lag(rtf) -> SerialLag:
+    """Root counts of the float num/den pair of ``rtf`` (descending
+    powers) as given, every coefficient read as the exact dyadic rational
+    it is.  The float roots ``rtf.poles`` and ``rtf.zeros`` only place
+    the points of ``_alternates``."""
+    n, d = integer_poly(rtf.num), integer_poly(rtf.den)
     if not n or not d:
         raise ValueError("numerator and denominator must be nonzero")
-    dseq, nseq = _squarefree_sturm(d), _squarefree_sturm(n)
+    poles, distinct_poles = _roots(d, rtf.poles, 0, INF)
+    zeros, distinct_zeros = _roots(n, rtf.zeros, -INF, 0)
     return SerialLag(
         gain=1 if (n[0] > 0) == (d[0] > 0) else -1,
-        poles=_count(dseq, 0, INF) + (d[-1] == 0),
-        distinct_poles=len(dseq[0]) - 1, den_degree=len(d) - 1,
-        zeros=_count(nseq, -INF, 0), distinct_zeros=len(nseq[0]) - 1,
+        poles=poles + (d[-1] == 0), distinct_poles=distinct_poles,
+        den_degree=len(d) - 1, zeros=zeros, distinct_zeros=distinct_zeros,
         num_degree=len(n) - 1)

@@ -593,7 +593,7 @@ def _serial_lag_report(rtf: RationalTransferFunction, k: int,
         return PositivityReport(TOEPLITZ_K, k, REFUTED, horizon, t0=t0,
                                 witness={**sample, "compound-order": 1},
                                 details=(sub,))
-    lag = serial_lag(num, den)
+    lag = serial_lag(rtf)
     if not (lag.holds and lag.simple):
         return None
     return PositivityReport(
@@ -812,7 +812,7 @@ def check_toeplitz_total(sys,
     """
     require_horizon(horizon)
     if isinstance(sys, RationalTransferFunction):
-        lag = serial_lag(sys.num, sys.den)
+        lag = serial_lag(sys)
         witness = None if lag.holds else (_root_witness(sys)
                                           or lag.failure())
     else:

@@ -1,7 +1,10 @@
 """Exact root counts and the serial-lag test on num/den inputs.
 
 ``exact.sturm_count`` and ``exact.squarefree`` are checked on hand-made
-integer polynomials.  ``check_toeplitz_k`` decides a num/den serial cascade
+integer polynomials.  ``exact.serial_lag`` must give the counts that
+``sturm_count`` and ``squarefree`` give, whatever float roots it is
+handed, and decides a cascade of simple lags without a Sturm sequence.
+``check_toeplitz_k`` decides a num/den serial cascade
 from its coefficients before any compound is built: it certifies every
 construction with positive gain, distinct poles in (0, 1) and zeros at or
 below 0, refutes a negative one at its first sample, and hands every other
@@ -10,7 +13,9 @@ num/den input to the compound ladder unchanged.
 
 import itertools
 import math
+import random
 import time
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -18,8 +23,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vardim import positivity
-from vardim.exact import integer_poly, serial_lag, squarefree, sturm_count
+from vardim import exact, positivity
+from vardim.exact import (SerialLag, integer_poly, serial_lag, squarefree,
+                          sturm_count)
 from vardim.lti import RationalTransferFunction, canonical
 from vardim.oracle import ovd_verify
 from vardim.positivity import (CERTIFIED, REFUTED, check_toeplitz_k,
@@ -65,6 +71,12 @@ class TestHandPolynomials:
         assert sturm_count(p, -INF, INF) == 1
         assert squarefree(p) == p
 
+    def test_float_endpoints_are_exact(self):
+        # The root 3 + 2**-60 is above 3.0, which float Horner cannot see.
+        p = [2**60, -(3 * 2**60 + 1)]
+        assert sturm_count(p, 3.0, 4.0) == sturm_count(p, 3, 4) == 1
+        assert sturm_count(p, 2.0, 3.0) == sturm_count(p, 2, 3) == 0
+
     def test_integer_form_is_a_positive_multiple(self):
         assert integer_poly((0.0, -0.5, 0.25, 3.0)) == [-2, 1, 12]
         assert integer_poly((1e-300, 1.0))[0] > 0
@@ -104,8 +116,86 @@ def rtf(poles, zeros, gain) -> RationalTransferFunction:
     return RationalTransferFunction(tuple(num), tuple(np.real(np.poly(poles))))
 
 
+@st.composite
+def lag_systems(draw):
+    """``serial_lags`` as drawn, or broken by a complex pole pair, a
+    positive zero, one or all poles negated, a repeated pole, or two poles
+    1e-12 apart."""
+    poles, zeros, gain = draw(serial_lags())
+    how = draw(st.sampled_from(("as-drawn", "complex-pair", "positive-zero",
+                                "negative-pole", "negated",
+                                "repeated-pole", "clustered")))
+    if how == "complex-pair":
+        rho, theta = draw(st.floats(0.1, 0.9)), draw(st.floats(0.3, 2.8))
+        poles = poles[1:] + [rho * complex(math.cos(theta), math.sin(theta)),
+                             rho * complex(math.cos(theta), -math.sin(theta))]
+    elif how == "positive-zero":
+        zeros = zeros + [(2 * draw(st.integers(0, 18)) + 1) / 40]
+        poles = poles + [0.975]
+    elif how == "negative-pole":
+        poles = poles + [-0.975]
+    elif how == "negated":  # no zeros: none can meet a pole
+        poles, zeros = [-p for p in poles], []
+    elif how == "repeated-pole":
+        poles = poles + [poles[0]]
+    elif how == "clustered":
+        poles = poles + [poles[0] + 1e-12]
+    return rtf(poles, zeros[:len(poles) - 1], gain)
+
+
+def sturm_lag(system) -> SerialLag:
+    """``serial_lag`` of ``system`` from ``sturm_count`` and
+    ``squarefree`` alone."""
+    n, d = integer_poly(system.num), integer_poly(system.den)
+    return SerialLag(
+        gain=1 if (n[0] > 0) == (d[0] > 0) else -1,
+        poles=sturm_count(d, 0, INF) + (d[-1] == 0),
+        distinct_poles=len(squarefree(d)) - 1, den_degree=len(d) - 1,
+        zeros=sturm_count(n, -INF, 0), distinct_zeros=len(squarefree(n)) - 1,
+        num_degree=len(n) - 1)
+
+
+def wrong_roots(roots, how: str, rng: random.Random) -> tuple:
+    roots = list(roots)
+    if how == "shuffled":
+        rng.shuffle(roots)
+    elif how == "shifted":
+        roots = [r + 0.3 for r in roots]
+    elif how == "nan" and roots:
+        roots[rng.randrange(len(roots))] = complex(math.nan, 0.0)
+    elif how == "too-few":
+        roots = roots[1:]
+    return tuple(roots)
+
+
 def grid_ks(n: int) -> list:
     return sorted({2, n // 2, n} & set(range(1, n + 2)))
+
+
+class TestSerialLagCounts:
+    @settings(max_examples=300, deadline=None)
+    @given(lag_systems())
+    def test_counts_match_sturm(self, system):
+        assert serial_lag(system) == sturm_lag(system)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lag_systems(),
+           st.sampled_from(("shuffled", "shifted", "nan", "too-few")),
+           st.randoms(use_true_random=False))
+    def test_float_roots_decide_nothing(self, system, how, rng):
+        stand_in = SimpleNamespace(
+            num=system.num, den=system.den,
+            poles=wrong_roots(system.poles, how, rng),
+            zeros=wrong_roots(system.zeros, how, rng))
+        assert serial_lag(stand_in) == serial_lag(system)
+
+    def test_cascade_takes_no_sturm_sequence(self):
+        system = rtf([0.95 - 0.06 * i for i in range(16)],
+                     [-0.1 * (i + 1) for i in range(8)], 1.0)
+        with mock.patch.object(exact, "_sturm", wraps=exact._sturm) as sturm:
+            reps = [check_toeplitz_k(system, k) for k in (8, 16)]
+        assert sturm.call_count == 0
+        assert {rep.verdict for rep in reps} == {CERTIFIED}
 
 
 class TestSerialLagFastPath:
@@ -138,7 +228,7 @@ class TestSerialLagFastPath:
                                                -math.sin(theta))]
             zeros = zeros[:len(poles) - 1]
         system = rtf(poles, zeros, gain)
-        assert not serial_lag(system.num, system.den).holds
+        assert not serial_lag(system).holds
         k = data.draw(st.sampled_from(grid_ks(len(poles))))
         assert (repr(check_toeplitz_k(system, k))
                 == repr(check_toeplitz_k(canonical(system), k)))
@@ -191,7 +281,7 @@ class TestSerialLagFastPath:
         assert check_toeplitz_k(lag, 4) == check_toeplitz_k(canonical(lag), 4)
 
     def test_n16_cascade_is_decided_in_milliseconds(self):
-        # About 1.5 ms on a 2-CPU x86-64 host, against 23-40 ms for the
+        # About 0.1 ms on a 2-CPU x86-64 host, against 23-40 ms for the
         # compound ladder; the bound leaves room for a slow or busy host.
         system = rtf([0.95 - 0.06 * i for i in range(16)],
                      [-0.1 * (i + 1) for i in range(8)], 1.0)
@@ -224,6 +314,9 @@ class TestToeplitzTotal:
     def test_repeated_pole_cascade_certified(self):
         # (z - 0.5)^2: two equal lags in series are totally positive.
         system = RationalTransferFunction((1.0,), (1.0, -1.0, 0.25))
-        lag = serial_lag(system.num, system.den)
+        with mock.patch.object(exact, "_sturm", wraps=exact._sturm) as sturm:
+            lag = serial_lag(system)
+            assert check_toeplitz_total(system).verdict == CERTIFIED
         assert lag.holds and not lag.simple
-        assert check_toeplitz_total(system).verdict == CERTIFIED
+        # No sign change shows a double pole: D's count is Sturm's.
+        assert [4, -4, 1] in [c.args[0] for c in sturm.call_args_list]
