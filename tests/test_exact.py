@@ -156,6 +156,7 @@ def sturm_lag(system) -> SerialLag:
 
 
 def wrong_roots(roots, how: str, rng: random.Random) -> tuple:
+    """``roots`` shuffled, shifted by 0.3, with one NaN, or one short."""
     roots = list(roots)
     if how == "shuffled":
         rng.shuffle(roots)
