@@ -42,12 +42,17 @@ WITNESS_SEARCH_CAP = 1 << 18
 # Bytes of terms one block of the guarded sample scan holds at most (one
 # float64 array of block length x term count, reused block to block).
 SCAN_BLOCK_BYTES = 1 << 21
+# Exact terms the guarded sample scan sums at most before its block kernel
+# runs: its prefix covers t = 0..PREFIX_TERMS // m of an m-term system.
+PREFIX_TERMS = 160
 
 EXTERNAL = "external"
 HANKEL_K = "hankel-k"
 TOEPLITZ_K = "toeplitz-k"
 HANKEL_TOTAL = "hankel-total"
 TOEPLITZ_TOTAL = "toeplitz-total"
+
+_NO_FIR = Signal()
 
 
 @dataclass(frozen=True)
@@ -132,31 +137,49 @@ def _reaching(g: Signal, stop: int) -> Signal:
     return g
 
 
-def _sample_scale(pfs: PartialFractionSystem) -> float:
-    parts = np.abs(pfs.arrays[0]).tolist()
-    parts.extend(abs(v) for v in pfs.fir.values)
-    return max(math.fsum(parts), 1e-300)
+def _weight(pfs: PartialFractionSystem) -> tuple:
+    """sum|r| (``math.fsum``) and rho = max|p| over the terms of a
+    partial-fraction system, each read once from its arrays."""
+    r, p = pfs.arrays
+    return math.fsum(np.abs(r).tolist()), float(np.abs(p).max(initial=0.0))
+
+
+def _sample_scale(pfs: PartialFractionSystem, weight: float) -> float:
+    """sum|r| plus sum|FIR| (one ``math.fsum``), at least 1e-300, given
+    weight = sum|r| from ``_weight``."""
+    if len(pfs.fir):
+        parts = np.abs(pfs.arrays[0]).tolist()
+        parts.extend(abs(v) for v in pfs.fir.values)
+        weight = math.fsum(parts)
+    return max(weight, 1e-300)
 
 
 class _SampleScan:
     """Guarded scan of the samples g(t) of a partial-fraction system against
     the thresholds ``check_external`` uses.
 
+    A scan first decides what it can from exact samples alone (the
+    prefix, see ``run``); the block kernel below takes over where the
+    prefix ends undecided, and builds its state only then.
+
     numpy forms the terms r * p**(t-1) for a block of consecutive t at a
     time and sums them.  A block doubles its rows with the squares p**2,
     p**4, ...; row t then holds p**(t-1) as a product of t - 1 rounded
-    factors, as many as repeated multiplication from t = 1 takes.  The m
-    terms of a row sit in c chunks of s columns, s = isqrt(m - 1) + 1 and
-    c = ceil(m / s), zero-padded to c * s; a row is summed chunk by chunk,
-    then over its c chunk sums, each level one matrix-vector product with
-    ones.  With u = 2**-53, a sum of s terms in any order is within
-    (s - 1) u of their summed magnitudes (Higham, ch. 4), so the bound
-    holds whatever order the product adds in, and a row sum plus the FIR
-    sample adds at most (s + c) u, about 2 sqrt(m) u instead of (m + 1) u.
-    Each approximate term is within (t + 1) u of the exact term, and the
-    exact sample ``partial_fraction_samples`` (libm pow within one ulp, one
-    product, a correctly rounded sum) is within 4 u of the exact value, so
-    the two differ by at most
+    factors, as many as repeated multiplication from t = 1 takes.  A
+    kernel that first runs at t = T > 1, after the prefix, starts from
+    libm's p**(T-1): exact at T = 2, else within one ulp, which is no more
+    than T - 1 rounded factors can err.  The m terms of a row sit in c
+    chunks of s columns, s = isqrt(m - 1) + 1 and c = ceil(m / s),
+    zero-padded to c * s; a row is summed chunk by chunk, then over its c
+    chunk sums, each level one matrix-vector product with ones.  With
+    u = 2**-53, a sum of s terms in any order is within (s - 1) u of their
+    summed magnitudes (Higham, ch. 4), so the bound holds whatever order
+    the product adds in, and a row sum plus the FIR sample adds at most
+    (s + c) u, about 2 sqrt(m) u instead of (m + 1) u.  Each approximate
+    term is within (t + 1) u of the exact term, and the exact sample
+    ``partial_fraction_samples`` (libm pow within one ulp, one product, a
+    correctly rounded sum) is within 4 u of the exact value, so the two
+    differ by at most
 
         B(t) = (t + s + c + 7) * 2**-52 * W(t) + (t + 3) * (m + 1)
                * 2**-1074 * max(1, max|r|),
@@ -170,24 +193,17 @@ class _SampleScan:
     where the previous one stopped.
     """
 
-    def __init__(self, pfs: PartialFractionSystem, theta: float):
+    def __init__(self, pfs: PartialFractionSystem, theta: float,
+                 weight: float):
         self.pfs = pfs
         self.theta = theta
         self.r, self.p = pfs.arrays
         m = len(self.r)
         self.s = math.isqrt(max(m, 1) - 1) + 1
         self.c = -(-m // self.s)
-        width = self.c * self.s
-        self.rows = max(1, SCAN_BLOCK_BYTES // (8 * max(width, 1)))
-        self.floor = (m + 1) * 2.0 ** -1074 * float(
-            np.abs(self.r).max(initial=1.0))
-        # Residues and poles, zero-padded to the chunked width.
-        self.padded = np.zeros((2, width))
-        self.padded[0, :m] = self.r
-        self.padded[1, :m] = self.p
-        # p**(t-1) at the first t >= max(next, 1).
-        self.power = np.ones(width)
-        self.ones = np.ones(self.s), np.ones(self.c)
+        # The least lead at t* that stops the prefix early (see ``run``).
+        self.tiny = (weight + m) * 2.0 ** -1010
+        self.power = None  # the block kernel's state, built by _kernel
         self.next = 0
         self._exact = {}
 
@@ -197,8 +213,9 @@ class _SampleScan:
 
     def sample(self, t: int) -> float:
         if t not in self._exact:
-            self._exact[t] = partial_fraction_samples(
-                zip(*self._lists), self.pfs.fir, (t,))[0]
+            terms = zip(*self._lists) if t >= 1 else ()
+            self._exact[t] = partial_fraction_samples(terms, self.pfs.fir,
+                                                      (t,))[0]
         return self._exact[t]
 
     @cached_property
@@ -208,8 +225,8 @@ class _SampleScan:
     def lead_tail(self, t: int) -> tuple:
         """Leading term and the sum of the other terms' magnitudes at t."""
         lead = partial_fraction_samples(
-            zip(self.r[:1].tolist(), self.p[:1].tolist()), Signal(), (t,))
-        tail = partial_fraction_samples(zip(*self._magnitudes), Signal(),
+            zip(self.r[:1].tolist(), self.p[:1].tolist()), _NO_FIR, (t,))
+        tail = partial_fraction_samples(zip(*self._magnitudes), _NO_FIR,
                                         (t,))
         return lead[0], tail[0]
 
@@ -217,9 +234,31 @@ class _SampleScan:
         lead, tail = self.lead_tail(t)
         return lead > tail
 
+    def _kernel(self):
+        """The block kernel's state: residues and poles zero-padded to the
+        chunked width, the powers p**(t-1) at the first t >= max(next, 1),
+        and the vectors of ones."""
+        m, s, c = len(self.r), self.s, self.c
+        width = c * s
+        self.rows = max(1, SCAN_BLOCK_BYTES // (8 * max(width, 1)))
+        self.floor = (m + 1) * 2.0 ** -1074 * float(
+            np.abs(self.r).max(initial=1.0))
+        self.padded = np.zeros((2, width))
+        self.padded[0, :m] = self.r
+        self.padded[1, :m] = self.p
+        self.power = np.ones(width)
+        e = max(self.next, 1) - 1
+        if e:
+            self.power[:m] = [p ** e for p in self._lists[1]]
+        self.ones = np.ones(s), np.ones(c)
+
     def _blocks(self, stop: int):
         """Yield (t, approximate g, bound, lead, tail) arrays for blocks of
         t from ``next`` up to ``stop``; t = 0 has no pole terms."""
+        if self.next > stop:
+            return
+        if self.power is None:
+            self._kernel()
         fir = self.pfs.fir
         m, s, c = len(self.r), self.s, self.c
         r, p = self.padded
@@ -229,7 +268,7 @@ class _SampleScan:
             # Chunk sums, then the sum of each row's chunk sums.
             return q.reshape(-1, s).dot(ones_s).reshape(len(q), c).dot(ones_c)
 
-        buf = np.empty((min(self.rows, max(stop - self.next + 1, 0)), c * s))
+        buf = np.empty((min(self.rows, stop - self.next + 1), c * s))
         while self.next <= stop:
             ts = np.arange(self.next, min(self.next + self.rows, stop + 1))
             q = buf[:len(ts)]
@@ -280,10 +319,41 @@ class _SampleScan:
             dominance_from: Optional[int] = None) -> tuple:
         """Scan on from the last sample scanned up to ``stop``: t0 (unless
         already known), the first negative sample and the first
-        tail-dominance time from ``dominance_from``.  The scan ends at the
-        first negative sample."""
+        tail-dominance time t* from ``dominance_from``.  The scan ends at
+        the first negative sample.  ``dominance_from`` may be given only
+        for a leading term r1 p1**(t-1) with r1 > 0, p1 > 0 and
+        p1 - |p| > SLACK_TOL * max(1, p1) for every other pole p, and no
+        FIR sample from it on.
+
+        The prefix decides t = next..min(stop, PREFIX_TERMS // m) in order
+        from exact samples and exact dominance tests.  It gives up at the
+        first t >= 1 at which no sample has yet cleared theta, where a wide
+        compound cancels, so t0 is known by the time t* is.  It returns at
+        the first negative sample, and at t* when the lead there and theta
+        are at least ``tiny``: no later sample can then fall below -theta
+        (README, "Compound check cost").  The blocks scan what the prefix
+        leaves.
+        """
         theta = self.theta
         t_star = None
+        end = min(stop, PREFIX_TERMS // max(len(self.r), 1))
+        while self.next <= end:
+            t = self.next
+            g = self.sample(t)
+            if t0 is None and abs(g) > theta:
+                t0 = t
+            if g < -theta:
+                return t0, t, None
+            if t0 is None and t >= 1:
+                break
+            self.next = t + 1
+            if (t_star is None and dominance_from is not None
+                    and t >= dominance_from):
+                lead, tail = self.lead_tail(t)
+                if lead > tail:
+                    t_star = t
+                    if self.tiny <= min(lead, theta):
+                        return t0, None, t_star
         for ts, g, bound, lead, tail in self._blocks(stop):
             lo, hi = g + theta, g - theta
             near_lo = ~(np.abs(lo) > bound)
@@ -304,28 +374,25 @@ class _SampleScan:
         return t0, None, t_star
 
 
-def _finite_stop(pfs: PartialFractionSystem, stop: int) -> int:
-    """``stop``, or with rho > 1 the last t at which max(1, sum|r|)
+def _finite_stop(rho: float, weight: float, stop: int) -> int:
+    """``stop``, or with rho > 1 the last t at which max(1, weight)
     rho^(t+1) is below the largest double if that comes first, so that
-    every power, term and sum of the samples up to it is finite."""
-    rho = float(np.abs(pfs.arrays[1]).max(initial=0.0))
+    every power, term and sum of the samples up to it is finite (rho and
+    weight = sum|r| from ``_weight``)."""
     if rho <= 1.0:
         return stop
-    weight = math.fsum(np.abs(pfs.arrays[0]).tolist())
     return min(stop, int(math.log(float_info.max / max(1.0, weight))
                          / math.log(rho)) - 1)
 
 
-def _witness_horizon(pfs: PartialFractionSystem, start: int,
+def _witness_horizon(rho: float, weight: float, fir_end: int, start: int,
                      tol: float) -> int:
     """Last sample the witness search examines: the first of the horizons
     max(start, 8) * 4**i (up to ``WITNESS_SEARCH_CAP``) at which the bound
-    sum|r| rho^(t-1) is at most tol/2, past the FIR support with rho <= 1
-    (no later sample can then fall below -tol), else the last of them, or
-    0 when even the first exceeds the cap; never past ``_finite_stop``."""
-    rho = max((abs(p) for p in pfs.poles), default=0.0)
-    weight = math.fsum(np.abs(pfs.arrays[0]).tolist())
-    fir_end = pfs.fir.support_end if len(pfs.fir) else 0
+    weight rho^(t-1) is at most tol/2, past the FIR support (ending at
+    ``fir_end``) with rho <= 1 (no later sample can then fall below
+    -tol), else the last of them, or 0 when even the first exceeds the
+    cap; never past ``_finite_stop``."""
     horizon = max(start, 8)
     last = 0
     while horizon <= WITNESS_SEARCH_CAP:
@@ -334,7 +401,7 @@ def _witness_horizon(pfs: PartialFractionSystem, start: int,
                 and weight * rho ** (horizon - 1) <= tol / 2):
             break
         horizon *= 4
-    return _finite_stop(pfs, last)
+    return _finite_stop(rho, weight, last)
 
 
 def check_external(sys, horizon: int = DEFAULT_HORIZON) -> PositivityReport:
@@ -357,7 +424,9 @@ def check_external(sys, horizon: int = DEFAULT_HORIZON) -> PositivityReport:
     pfs = canonical(sys)
     if not isinstance(pfs, PartialFractionSystem):
         return _check_external_sampled(impulse_response(sys, horizon), horizon)
-    theta = ZERO_TOL * (_sample_scale(pfs) if not pfs.is_zero() else 1.0)
+    weight, rho = _weight(pfs)
+    theta = ZERO_TOL * (_sample_scale(pfs, weight) if not pfs.is_zero()
+                        else 1.0)
     fir_end = pfs.fir.support_end if len(pfs.fir) else 0
     need = max(horizon, fir_end + 1)
     dominance_from = None
@@ -367,8 +436,8 @@ def check_external(sys, horizon: int = DEFAULT_HORIZON) -> PositivityReport:
         if r1 > 0 and p1 > 0 and bool(np.all(
                 p1 - np.abs(poles[1:]) > SLACK_TOL * max(1.0, p1))):
             dominance_from = max(1, fir_end + 1)
-    scan = _SampleScan(pfs, theta)
-    stop = _finite_stop(pfs, need)
+    scan = _SampleScan(pfs, theta, weight)
+    stop = _finite_stop(rho, weight, need)
     t0, neg, t_star = scan.run(stop, dominance_from=dominance_from)
     if neg is not None:
         return PositivityReport(
@@ -396,7 +465,8 @@ def check_external(sys, horizon: int = DEFAULT_HORIZON) -> PositivityReport:
                          f"{_fmt(lead)} > {_fmt(tail)} and samples "
                          f"nonnegative up to t={t_star}"))
 
-    found = scan.run(_witness_horizon(pfs, need, theta), t0)[1]
+    found = scan.run(_witness_horizon(rho, weight, fir_end, need, theta),
+                     t0)[1]
     if found is None:
         return PositivityReport(EXTERNAL, 1, HOLDS, horizon, t0=t0)
     witness = {"kind": "negative-sample"}
@@ -473,8 +543,9 @@ def check_hankel_k(sys, k: int,
     if pfs:
         # check_external's zero level.  t0 is looked for up to the last
         # finite sample, but past the windows only when none clears it.
-        theta = ZERO_TOL * _sample_scale(form)
-        t0_end = max(stop, _finite_stop(form, need))
+        weight, rho = _weight(form)
+        theta = ZERO_TOL * _sample_scale(form, weight)
+        t0_end = max(stop, _finite_stop(rho, weight, need))
     else:
         theta = _zero_level(g, need)
         t0_end = need
@@ -755,7 +826,8 @@ def toeplitz_decompose(sys, k: int,
         coeff = r * (p - p1) / p
         terms.append((coeff, p))
         fir[1] -= coeff
-    if abs(fir.get(1, 0.0)) <= ZERO_TOL * _sample_scale(pfs):
+    if abs(fir.get(1, 0.0)) <= ZERO_TOL * _sample_scale(pfs,
+                                                        _weight(pfs)[0]):
         fir[1] = 0.0
     span = max(fir)
     fir_signal = Signal(1, tuple(fir.get(t, 0.0) for t in range(1, span + 1)))

@@ -23,10 +23,11 @@ from vardim.compound import compound_transfer
 from vardim.errors import UnsupportedRepresentationError
 from vardim.lti import (PartialFractionSystem, StateSpace, dominance_key,
                         partial_fraction_samples)
-from vardim.positivity import (CERTIFIED, EXTERNAL, HOLDS, REFUTED,
-                               SCAN_BLOCK_BYTES, WITNESS_SEARCH_CAP,
+from vardim.positivity import (CERTIFIED, EXTERNAL, HOLDS, PREFIX_TERMS,
+                               REFUTED, SCAN_BLOCK_BYTES, WITNESS_SEARCH_CAP,
                                PositivityReport, _fmt, _sample_scale,
-                               _SampleScan, check_external, check_hankel_k)
+                               _finite_stop, _SampleScan, _weight,
+                               check_external, check_hankel_k)
 from vardim.tolerance import SLACK_TOL, ZERO_TOL
 from vardim.signals import Signal
 
@@ -395,13 +396,13 @@ def systems_with_tolerance(draw):
     place = draw(st.sampled_from((None, "residue", "sample")))
     side = draw(st.sampled_from(SIDES))
     if place == "residue":
-        theta = tol * _sample_scale(pfs)
+        theta = tol * _sample_scale(pfs, _weight(pfs)[0])
         pfs = build(terms + [(side * theta, draw(st.floats(-0.95, 0.95)))],
                     fir)
     elif place == "sample":
         rest = math.fsum(r for r, _ in terms)
         for _ in range(3):
-            theta = tol * _sample_scale(pfs)
+            theta = tol * _sample_scale(pfs, _weight(pfs)[0])
             fir[1] = side * theta - rest
             pfs = build(terms, fir)
     return pfs, tol
@@ -413,15 +414,21 @@ class TestRandomSystems:
            st.sampled_from((None, 1, 2, 3, 7)))
     def test_check_external_matches_scalar(self, case, horizon, rows):
         # ``rows`` caps a scan block at that many samples, so the powers
-        # continue across block boundaries.
+        # continue across block boundaries.  A prefix budget of 0 leaves
+        # every t >= 1 to the blocks; the default one hands them what it
+        # leaves undecided, from libm's powers.
         pfs, tol = case
         size = SCAN_BLOCK_BYTES if rows is None else 8 * rows * max(
             len(pfs.terms), 1)
-        with mock.patch.object(vardim.positivity, "SCAN_BLOCK_BYTES", size), \
-                mock.patch.object(vardim.positivity, "ZERO_TOL", tol):
-            rep = check_external(pfs, horizon)
-            want = ref_check_external(pfs, horizon, tol)
-        assert repr(rep) == repr(want)
+        want = ref_check_external(pfs, horizon, tol)
+        for prefix in (0, PREFIX_TERMS):
+            with mock.patch.object(vardim.positivity, "SCAN_BLOCK_BYTES",
+                                   size), \
+                    mock.patch.object(vardim.positivity, "ZERO_TOL", tol), \
+                    mock.patch.object(vardim.positivity, "PREFIX_TERMS",
+                                      prefix):
+                rep = check_external(pfs, horizon)
+            assert repr(rep) == repr(want)
 
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.tuples(residue_st, st.one_of(
@@ -447,8 +454,9 @@ class TestGuardBand:
                                  (-1.0, 0.3)))
 
     def test_case_straddles_the_threshold(self):
-        theta = ZERO_TOL * _sample_scale(self.PFS)
-        scan = _SampleScan(self.PFS, theta)
+        weight = _weight(self.PFS)[0]
+        theta = ZERO_TOL * _sample_scale(self.PFS, weight)
+        scan = _SampleScan(self.PFS, theta, weight)
         ts, approx, bound, _, _ = next(scan._blocks(1))
         assert ts.tolist() == [0, 1]
         exact = partial_fraction_samples(self.PFS.terms, self.PFS.fir, (1,))[0]
@@ -456,10 +464,18 @@ class TestGuardBand:
         assert abs(approx[1] + theta) <= bound[1]
 
     def test_exact_sample_decides(self):
-        rep = check_external(self.PFS)
+        # Without the prefix, the blocks reach the band at t = 1.
+        with mock.patch.object(vardim.positivity, "PREFIX_TERMS", 0):
+            rep = check_external(self.PFS)
         assert rep.verdict == REFUTED
         assert rep.witness == {"kind": "negative-sample", "time": 1,
                                "value": -2.000010000002e-12}
+        assert repr(rep) == repr(ref_check_external(self.PFS))
+
+    def test_prefix_decides_without_the_band(self):
+        with mock.patch.object(_SampleScan, "_blocks",
+                               side_effect=AssertionError):
+            rep = check_external(self.PFS)
         assert repr(rep) == repr(ref_check_external(self.PFS))
 
 
@@ -478,8 +494,9 @@ class TestWideGuardBand:
     PFS = wide_straddle()
 
     def test_case_straddles_the_threshold_inside_the_band(self):
-        theta = ZERO_TOL * _sample_scale(self.PFS)
-        scan = _SampleScan(self.PFS, theta)
+        weight = _weight(self.PFS)[0]
+        theta = ZERO_TOL * _sample_scale(self.PFS, weight)
+        scan = _SampleScan(self.PFS, theta, weight)
         assert len(self.PFS.arrays[0]) == 400
         assert (scan.s, scan.c) == (20, 20)
         ts, approx, bound, _, _ = next(scan._blocks(1))
@@ -488,12 +505,104 @@ class TestWideGuardBand:
         assert abs(approx[1] + theta) <= bound[1]
 
     def test_exact_sample_decides(self):
-        rep = check_external(self.PFS)
+        with mock.patch.object(vardim.positivity, "PREFIX_TERMS", 0):
+            rep = check_external(self.PFS)
         exact = partial_fraction_samples(self.PFS.terms, self.PFS.fir, (1,))[0]
         assert rep.verdict == REFUTED
         assert rep.witness == {"kind": "negative-sample", "time": 1,
                                "value": exact}
         assert repr(rep) == repr(ref_check_external(self.PFS))
+
+
+@st.composite
+def dominated_systems(draw):
+    """A system whose leading pole p1 > 0 (up to 3) and residue r1 > 0
+    have the strict gap that tail dominance needs, other poles of either
+    sign (some just past the gap), an optional FIR tail, a horizon and a
+    zero level down to 1e-200 of the scale."""
+    p1 = draw(st.floats(1e-3, 3.0))
+    terms = [(draw(st.floats(0.01, 2.0)), p1)]
+    ratios = draw(st.lists(st.one_of(st.floats(0.0, 0.999), st.sampled_from(
+        (1.0 - 2e-9, 1.0 - 1e-8, 1.0 - 1e-6))), max_size=6, unique=True))
+    for ratio in ratios:
+        sign = draw(st.sampled_from((1.0, -1.0)))
+        terms.append((draw(st.floats(-2.0, 2.0)), sign * ratio * p1))
+    start = draw(st.integers(0, 3))
+    fir = {start + i: v for i, v in enumerate(draw(fir_st))}
+    pfs = build(terms, fir)
+    tol = draw(st.sampled_from((ZERO_TOL, 1e-15, 1e-200)))
+    return pfs, tol, draw(st.integers(1, 200))
+
+
+class TestPrefix:
+    @settings(max_examples=300, deadline=None)
+    @given(dominated_systems())
+    def test_early_stop_agrees_with_a_block_only_scan(self, case):
+        # check_external's scan of this system, up to the last finite
+        # sample at or before the horizon.
+        pfs, tol, horizon = case
+        (r1, p1), rest = pfs.terms[0], pfs.terms[1:]
+        assume(r1 > 0 and p1 > 0 and all(
+            p1 - abs(p) > SLACK_TOL * max(1.0, p1) for _, p in rest))
+        weight, rho = _weight(pfs)
+        theta = tol * _sample_scale(pfs, weight)
+        fir_end = pfs.fir.support_end if len(pfs.fir) else 0
+        stop = _finite_stop(rho, weight, max(horizon, fir_end + 1))
+        start = max(1, fir_end + 1)
+        scan = _SampleScan(pfs, theta, weight)
+        t0, neg, t_star = scan.run(stop, dominance_from=start)
+        # Only where the prefix certified at t* and stopped short of stop.
+        assume(t_star is not None and scan.next <= stop
+               and scan.power is None)
+        assert neg is None
+        with mock.patch.object(vardim.positivity, "PREFIX_TERMS", 0):
+            blocks = _SampleScan(pfs, theta, weight).run(
+                stop, dominance_from=start)
+        assert blocks == (t0, None, t_star)
+        g = partial_fraction_samples(pfs.terms, pfs.fir, range(stop + 1))
+        assert len(g) == stop + 1 and min(g) >= -theta
+
+    def test_small_system_builds_no_kernel(self):
+        pfs = PartialFractionSystem(((1.0, 0.9), (0.5, 0.5), (-0.1, 0.1)))
+        weight = _weight(pfs)[0]
+        scan = _SampleScan(pfs, ZERO_TOL * weight, weight)
+        assert scan.run(64, dominance_from=1) == (1, None, 1)
+        assert scan.power is None and scan.next == 2
+
+    def test_subnormal_lead_does_not_stop_the_scan(self):
+        # At t = 2 the lead 13.5 u rounds up to 14 u and each tail term
+        # 1.5 u down to u, so the exact test sees dominance, 14 u > 10 u,
+        # where the tail is 15 u.  The samples then fall like -1.5**t u,
+        # below -theta = -1e-312 from t = 66 on.  The lead is below
+        # ``tiny``, so the scan goes on and finds them.
+        u = 2.0 ** -1074
+        pfs = PartialFractionSystem(
+            ((9 * u, 1.5),) + tuple((-u, 1.5 * (1 - 2e-9 * i))
+                                    for i in range(1, 11)),
+            Signal(0, (1e-300,)))
+        weight = _weight(pfs)[0]
+        scan = _SampleScan(pfs, ZERO_TOL * _sample_scale(pfs, weight), weight)
+        assert scan.lead_tail(2) == (14 * u, 10 * u)
+        rep = check_external(pfs, 200)
+        assert rep.verdict == REFUTED and rep.witness["time"] == 66
+        assert repr(rep) == repr(ref_check_external(pfs, 200))
+
+    def test_cancelling_sample_gives_up_to_the_blocks(self):
+        # g(1) = 1 - 1 = 0 before any sample clears theta: the blocks take
+        # over at t = 1 and find t0 = 2.
+        pfs = PartialFractionSystem(((1.0, 0.9), (-1.0, 0.5)))
+        starts = []
+        blocks = _SampleScan._blocks
+
+        def recording(self, stop):
+            starts.append(self.next)
+            return blocks(self, stop)
+
+        with mock.patch.object(_SampleScan, "_blocks", recording):
+            rep = check_external(pfs)
+        assert starts == [1]
+        assert rep.t0 == 2 and rep.verdict == CERTIFIED
+        assert repr(rep) == repr(ref_check_external(pfs))
 
 
 class TestScanCost:
