@@ -15,10 +15,10 @@ import itertools
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BudgetExceededError, UnsupportedRepresentationError
-from .lti import PartialFractionSystem, _require_window, require_horizon
+from .lti import (PartialFractionSystem, _require_window, require_horizon,
+                  sample_matrix)
 from .signals import Signal
 from .tolerance import ZERO_TOL
 
@@ -47,13 +47,9 @@ def compound_impulse(g: Signal, j: int, horizon: int) -> Signal:
     if j < 1:
         raise ValueError("order j must be >= 1")
     require_horizon(horizon)
-    end = horizon + 2 * j - 2
-    _require_window(g, 1, end, f"H(t=1..{horizon}, j={j})")
-    x = g.to_array()[1 - g.support_start:end + 1 - g.support_start]
-    # Window t holds g(t + a + b - 2) at (a, b): rows are shifted copies.
-    windows = sliding_window_view(sliding_window_view(x, j), j, axis=0)
+    _require_window(g, 1, horizon + 2 * j - 2, f"H(t=1..{horizon}, j={j})")
     with np.errstate(all="ignore"):
-        d = np.linalg.det(windows)
+        d = np.linalg.det(sample_matrix(g, 1, j, j, stack=horizon))
     bad = np.flatnonzero(~np.isfinite(d))
     if len(bad):
         raise BudgetExceededError(

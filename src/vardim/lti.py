@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence, Union
 
 import numpy as np
@@ -475,6 +475,37 @@ def _require_window(g: Signal, lo: int, hi: int, what: str):
             f"{g.support_start}..{g.support_end}")
 
 
+# 64 tables: both kinds of window up to order 16, and a run's truncations.
+@lru_cache(maxsize=64)
+def _offsets(rows: int, cols: int, toeplitz: bool) -> np.ndarray:
+    """Read-only table of where entry (a, b) reads, counted from the first
+    sample of its matrix: a + b, or with ``toeplitz`` a - b + cols - 1."""
+    b = np.arange(cols)
+    table = np.add.outer(np.arange(rows), b[::-1] if toeplitz else b)
+    table.setflags(write=False)
+    return table
+
+
+def sample_matrix(g: Signal, t: int, rows: int, cols: int,
+                  toeplitz: bool = False, stack: int = 0) -> np.ndarray:
+    """Read-only rows x cols matrix, entry (a, b) = g(t + a + b), or
+    g(t + a - b) with ``toeplitz``; g is 0 before t = 0 and past its
+    stored samples.  A ``stack`` > 0 stacks that matrix at t, t + 1, ..."""
+    table = _offsets(rows, cols, toeplitz)
+    if stack:
+        table = np.arange(stack)[:, None, None] + table
+    # One zero-padded causal copy of g(start), g(start + 1), ...
+    start = t - cols + 1 if toeplitz else t
+    span = np.zeros(max(rows + cols + max(stack, 1) - 2, 0))
+    lo = max(start, g.support_start, 0)
+    hi = max(lo, min(start + len(span), g.support_end + 1))
+    span[lo - start:hi - start] = g.values[lo - g.support_start:
+                                           hi - g.support_start]
+    m = span[table]
+    m.setflags(write=False)
+    return m
+
+
 def hankel_matrix(g: Signal, t: int, j: int) -> np.ndarray:
     """Read-only j x j window, entry (a, b) = g(t+a+b-2): symmetric."""
     if t < 1:
@@ -482,12 +513,7 @@ def hankel_matrix(g: Signal, t: int, j: int) -> np.ndarray:
     if j < 1:
         raise ValueError("order j must be >= 1")
     _require_window(g, t, t + 2 * j - 2, f"H(t={t}, j={j})")
-    # g(t), ..., g(t+2j-2); row a is the slice from g(t+a).
-    i = t - g.support_start
-    s = g.values[i:i + 2 * j - 1]
-    m = np.array([s[a:a + j] for a in range(j)], dtype=float)
-    m.setflags(write=False)
-    return m
+    return sample_matrix(g, t, j, j)
 
 
 def toeplitz_matrix(g: Signal, t: int, j: int) -> np.ndarray:
@@ -496,12 +522,5 @@ def toeplitz_matrix(g: Signal, t: int, j: int) -> np.ndarray:
         raise ValueError("Toeplitz windows start at t >= 0")
     if j < 1:
         raise ValueError("order j must be >= 1")
-    lo = max(0, t - j + 1)
-    _require_window(g, lo, t + j - 1, f"T(t={t}, j={j})")
-    # g(t+j-1) down to g(t-j+1), zero below t=0; row a is the slice from
-    # g(t+a).
-    i = lo - g.support_start
-    s = g.values[i:i + t + j - lo][::-1] + (0.0,) * (lo - (t - j + 1))
-    m = np.array([s[j - 1 - a:2 * j - 1 - a] for a in range(j)], dtype=float)
-    m.setflags(write=False)
-    return m
+    _require_window(g, max(0, t - j + 1), t + j - 1, f"T(t={t}, j={j})")
+    return sample_matrix(g, t, j, j, toeplitz=True)

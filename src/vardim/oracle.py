@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import BudgetExceededError
 from .lti import (PartialFractionSystem, RationalTransferFunction,
-                  impulse_response, require_horizon)
+                  impulse_response, require_horizon, sample_matrix)
 from .positivity import (CERTIFIED, PositivityReport, check_toeplitz_total)
 from .signals import (Signal, first_nonzero_sign, forward_difference,
                       row_variations, sign_buffers, variation)
@@ -43,50 +43,35 @@ def demo_system() -> PartialFractionSystem:
     return PartialFractionSystem(DEMO_TERMS)
 
 
-def _samples(g: Signal, count: int, pad: int = 0) -> np.ndarray:
-    """``pad`` zeros, then g(0), ..., g(count - 1): one zero-padded copy."""
-    out = np.zeros(pad + count)
-    lo, hi = max(g.support_start, 0), min(g.support_end + 1, count)
-    if lo < hi:
-        out[pad + lo:pad + hi] = g.values[lo - g.support_start:
-                                          hi - g.support_start]
-    return out
+def _require_input_length(input_length: int):
+    if input_length < 0:
+        raise ValueError("input length must be >= 0")
 
 
 def hankel_truncation(g: Signal, input_length: int,
                       output_length: int) -> np.ndarray:
     """Read-only matrix that maps the past stack (u(-1), ..., u(-L)) to
-    outputs at t = 0..N-1."""
-    t = np.arange(output_length)[:, None] + np.arange(1, input_length + 1)
-    m = _samples(g, output_length + input_length)[t]
-    m.setflags(write=False)
-    return m
+    outputs at t = 0..N-1: entry (t, tau - 1) is g(t + tau)."""
+    _require_input_length(input_length)
+    return sample_matrix(g, 1, output_length, input_length)
 
 
 def toeplitz_truncation(g: Signal, input_length: int,
                         output_length: int) -> np.ndarray:
     """Read-only matrix that maps inputs at t = 0..L-1 to outputs at
-    t = 0..N-1 causally."""
-    # Entry (t, tau) is g(t - tau); the L leading zeros stand for t < tau.
-    t = np.arange(output_length)[:, None] - np.arange(input_length)
-    m = _samples(g, output_length, input_length)[t + input_length]
-    m.setflags(write=False)
-    return m
-
-
-def _past_vector(past) -> tuple:
-    """Normalize past input to the stack (u(-1), u(-2), ...)."""
-    if isinstance(past, Signal):
-        if past.support_end > -1:
-            raise ValueError("past input must live on negative times")
-        return tuple(past.value(-tau)
-                     for tau in range(1, -past.support_start + 1))
-    return tuple(float(v) for v in past)
+    t = 0..N-1 causally: entry (t, tau) is g(t - tau)."""
+    _require_input_length(input_length)
+    return sample_matrix(g, 0, output_length, input_length, toeplitz=True)
 
 
 def apply_hankel(g: Signal, past, output_length: int) -> Signal:
-    """Free response y(t) = sum_tau g(t + tau) u(-tau) for t = 0..N-1."""
-    u = _past_vector(past)
+    """Free response y(t) = sum_tau g(t + tau) u(-tau) for t = 0..N-1 to
+    ``past``, a Signal on negative times or the stack (u(-1), u(-2), ...)."""
+    if isinstance(past, Signal):
+        if past.support_end > -1:
+            raise ValueError("past input must live on negative times")
+        past = past.window(past.support_start, -1)[::-1]
+    u = tuple(float(v) for v in past)
     y = hankel_truncation(g, len(u), output_length) @ np.asarray(u)
     return Signal(0, tuple(float(v) for v in y))
 
@@ -96,9 +81,8 @@ def apply_toeplitz(g: Signal, u, output_length: int) -> Signal:
     if isinstance(u, Signal):
         if u.support_start < 0:
             raise ValueError("future input must live on t >= 0")
-        vec = tuple(u.value(t) for t in range(u.support_end + 1))
-    else:
-        vec = tuple(float(v) for v in u)
+        u = u.window(0, u.support_end)
+    vec = tuple(float(v) for v in u)
     y = toeplitz_truncation(g, len(vec), output_length) @ np.asarray(vec)
     return Signal(0, tuple(float(v) for v in y))
 
@@ -199,8 +183,7 @@ class OvdReport:
 def _impulse_for(sys, kind: str, L: int, N: int) -> Signal:
     if isinstance(sys, Signal):
         return sys
-    need = N + L if kind == "hankel" else max(N, 1)
-    return impulse_response(sys, need)
+    return impulse_response(sys, N + L if kind == "hankel" else max(N, 1))
 
 
 def lattice_codes(size: int, length: int, start: int,
@@ -448,6 +431,7 @@ def ovd_verify(sys, kind: str, k: int, input_length: int, output_length: int,
         raise ValueError(f"unknown operator kind {kind!r}")
     if output_length < 1:
         raise ValueError("output length must be >= 1")
+    _require_input_length(input_length)
     g = _impulse_for(sys, kind, input_length, output_length)
     build = hankel_truncation if kind == "hankel" else toeplitz_truncation
     return ovd_matrix(build(g, input_length, output_length), k, alphabet,

@@ -2,12 +2,13 @@
 
 ``compound_transfer`` reads its index tuples from cached read-only tables,
 ``PartialFractionSystem`` builds ``terms`` only when read, ``scaled``
-reuses the sorted poles, and the structured windows are sliced from one
-list of samples.  The eager constructor, the eager compound and the
-entry-by-entry windows are kept below as test-only references; results
-must agree bit for bit.  The run-wise merge and the ascending hand-over of
-``compound_transfer`` are checked against the one-step-at-a-time merge
-rule and the eager constructor.
+reuses the sorted poles, and every structured window, truncation and
+compound stack is read from one zero-padded copy of the samples.  The
+eager constructor, the eager compound and the entry-by-entry windows are
+kept below as test-only references; results must agree bit for bit.  The
+run-wise merge and the ascending hand-over of ``compound_transfer`` are
+checked against the one-step-at-a-time merge rule and the eager
+constructor.
 """
 
 import dataclasses
@@ -22,13 +23,15 @@ import numpy as np
 import pytest
 
 from vardim import lti, positivity
-from vardim.compound import (INDEX_TABLES, _merge_heads, compound_transfer,
-                             index_tuples)
+from vardim.compound import (INDEX_TABLES, _merge_heads, compound_impulse,
+                             compound_transfer, index_tuples)
 from vardim.errors import UnsupportedRepresentationError, WindowError
 from vardim.lti import (PartialFractionSystem, RationalTransferFunction,
                         hankel_matrix, partial_fraction_samples,
                         partial_fractions, toeplitz_matrix)
-from vardim.oracle import DEMO_FUTURE_GROWTH, demo_system, ovd_verify
+from vardim.oracle import (DEMO_FUTURE_GROWTH, demo_system,
+                           hankel_truncation, ovd_verify,
+                           toeplitz_truncation)
 from vardim.positivity import check_toeplitz_k
 from vardim.signals import Signal
 from vardim.tolerance import ZERO_TOL
@@ -410,6 +413,44 @@ class TestSlicedWindows:
                     hankel_matrix(g, hankel[-1] + 1, j)
                 with pytest.raises(WindowError):
                     toeplitz_matrix(g, toeplitz[-1] + 1, j)
+
+    # Shorter than most truncations below, and starting before t = 0.
+    SHORT = [Signal(0, (1.0, -0.5, 0.25)), Signal(-2, (3.0, -1.0, 0.5, 2.0))]
+
+    def test_truncations_match_double_loop(self):
+        for g in self.SIGNALS + self.SHORT:
+            for L in range(12):
+                for N in range(1, 12):
+                    hankel = np.empty((N, L))
+                    toeplitz = np.empty((N, L))
+                    for t in range(N):
+                        for tau in range(L):
+                            hankel[t, tau] = g.value(t + tau + 1)
+                            toeplitz[t, tau] = (g.value(t - tau)
+                                                if t >= tau else 0.0)
+                    for got, want in ((hankel_truncation(g, L, N), hankel),
+                                      (toeplitz_truncation(g, L, N),
+                                       toeplitz)):
+                        assert got.shape == want.shape
+                        assert got.tobytes() == want.tobytes()
+                        assert not got.flags.writeable
+
+    def test_compound_stack_matches_double_loop(self):
+        for g in self.SIGNALS[:2] + self.SHORT:
+            for j in range(1, 9):
+                horizon = g.support_end - 2 * j + 2
+                if horizon < 1:
+                    with pytest.raises(WindowError):
+                        compound_impulse(g, j, 1)
+                    continue
+                want = [np.linalg.det(loop_hankel(g, t, j))
+                        for t in range(1, horizon + 1)]
+                got = compound_impulse(g, j, horizon)
+                assert got.support_start == 1
+                assert np.array(got.values).tobytes() == \
+                    np.array(want).tobytes()
+                with pytest.raises(WindowError):
+                    compound_impulse(g, j, horizon + 1)
 
 
 # ---------------------------------------------------------------------------

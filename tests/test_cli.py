@@ -327,3 +327,10 @@ class TestCliCommands:
         main(["scenario", "--name", "toeplitz-growth", "--out", str(p2)])
         assert p1.read_bytes() == p2.read_bytes()
         assert b"13.0" in p1.read_bytes()
+
+
+@pytest.mark.parametrize("operator", ["hankel", "toeplitz"])
+def test_oracle_negative_input_length_exits_2(operator, demo_file, capsys):
+    assert main(["oracle", "--operator", operator, "--k", "2",
+                 "--input-length", "-1", "--system", demo_file]) == 2
+    assert capsys.readouterr().err == "error: input length must be >= 0\n"

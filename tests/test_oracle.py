@@ -764,3 +764,23 @@ class TestNeuronalCondition:
             neuronal_condition(1.0, 1.0, 1.0, 0.5, 0.9, 0.1)
         with pytest.raises(ValueError):
             neuronal_condition(1.0, 0.5, 0.8, 0.9, 0.5, 0.1)
+
+
+class TestNegativeInputLength:
+    @pytest.mark.parametrize("kind", ["hankel", "toeplitz"])
+    @pytest.mark.parametrize("output_length", [1, 5])
+    def test_ovd_verify_refuses(self, kind, output_length):
+        with pytest.raises(ValueError, match="^input length must be >= 0$"):
+            ovd_verify(demo_system(), kind, 2, -1, output_length)
+
+    @pytest.mark.parametrize("build", [hankel_truncation,
+                                       toeplitz_truncation])
+    def test_truncations_refuse(self, build):
+        g = impulse_response(demo_system(), 10)
+        with pytest.raises(ValueError, match="^input length must be >= 0$"):
+            build(g, -2, 5)
+
+    @pytest.mark.parametrize("kind", ["hankel", "toeplitz"])
+    def test_zero_input_length_is_an_empty_lattice(self, kind):
+        rep = ovd_verify(demo_system(), kind, 2, 0, 5)
+        assert rep.passed and rep.inputs_checked == 0

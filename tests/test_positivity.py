@@ -841,3 +841,74 @@ class TestConvexConeClosure:
             merged = PartialFractionSystem(a.terms + b.terms)
             rep = check_hankel_k(merged, 2)
             assert rep.verdict in (CERTIFIED, HOLDS)
+
+
+def exact_sample(pfs: PartialFractionSystem, t: int) -> Fraction:
+    """g(t) = sum r p^(t-1) in exact arithmetic on the stored doubles."""
+    return sum(Fraction(r) * Fraction(p) ** (t - 1) for r, p in pfs.terms)
+
+
+class TestRarePaths:
+    """Verdict paths that the rest of the suite does not reach."""
+
+    def test_witness_search_past_the_horizon(self):
+        # A negative dominant pole whose residue is 1000 times smaller:
+        # the first negative sample lies past the default horizon.
+        pfs = PartialFractionSystem(((1.0, 0.9), (1e-3, -0.95)))
+        rep = check_external(pfs)
+        assert rep.verdict == REFUTED
+        assert rep.witness["kind"] == "dominant-structure"
+        assert rep.witness["reason"] == "dominant pole negative"
+        assert rep.witness["time"] == 130 > DEFAULT_HORIZON
+        assert rep.witness["value"] == -8.658190096414746e-08
+        assert exact_sample(pfs, 130) < 0
+        assert all(exact_sample(pfs, t) >= 0 for t in range(1, 130))
+
+    def test_t0_found_by_resampling(self):
+        # g(1) = 1 - 1 = 0 exactly, so t0 is 2, past the one sample the
+        # order-1 check reads.
+        pfs = PartialFractionSystem(((1.0, 0.9), (-1.0, 0.5)))
+        assert impulse_response(pfs, 2).values == (0.0, 0.0, 0.4)
+        rep = check_hankel_k(pfs, 1)
+        assert rep.verdict == CERTIFIED
+        assert rep.t0 == 2
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_first_sample_overflow_is_reraised(self, k):
+        # g(1) = 1e308 + 1e308 leaves the doubles: there is no finite
+        # sample past g(0) to fall back on.
+        pfs = PartialFractionSystem(((1e308, 10.0), (1e308, -5.0)))
+        with pytest.raises(BudgetExceededError) as info:
+            check_hankel_k(pfs, k)
+        assert info.value.time == 1
+
+
+class TestStructuralWitnesses:
+    def test_hankel_total_negative_pole(self):
+        rep = check_hankel_total(PartialFractionSystem(((1.0, -0.5),)))
+        assert rep.verdict == REFUTED
+        assert rep.witness == {"kind": "negative-pole", "index": 1,
+                               "pole": -0.5}
+
+    def test_toeplitz_total_negative_pole(self):
+        rep = check_toeplitz_total(RationalTransferFunction((1.0,),
+                                                            (1.0, 0.5)))
+        assert rep.verdict == REFUTED
+        assert rep.witness == {"kind": "negative-pole", "pole": -0.5}
+
+    def test_toeplitz_total_complex_zero(self):
+        # The zeros of z^2 + 1 are +-i.
+        rep = check_toeplitz_total(RationalTransferFunction(
+            (1.0, 0.0, 1.0), tuple(np.poly([0.9, 0.5, 0.2]))))
+        assert rep.verdict == REFUTED
+        assert rep.witness["kind"] == "complex-zero"
+        assert abs(complex(rep.witness["zero"]).imag) == pytest.approx(1.0)
+
+    def test_toeplitz_decompose_pole_at_zero(self):
+        # The pole-at-zero term is the pulse 0.5 at t = 1; filtering by
+        # (z - 0.9)/z leaves 1 + 0.5 at t = 1 and -0.9 * 0.5 at t = 2.
+        dec = toeplitz_decompose(
+            PartialFractionSystem(((1.0, 0.9), (0.5, 0.0))), 1)
+        assert dec.remainder == PartialFractionSystem(
+            (), Signal(1, (1.5, -0.45)))
+        assert dec.factor_pole == 0.9
